@@ -256,22 +256,31 @@ def round_to_mis(g: WeightedGraph, x: np.ndarray) -> MisSolution:
     Thresholds at 0.5, repairs conflicts by dropping the lighter endpoint
     (ties keep the larger index), then completes greedily by descending
     weight (ties prefer the smaller index).
+
+    Both rules are sequential, so they run as loops, but only over the
+    vertices they can change: repair visits, in ascending order, the
+    selected vertices that have a selected neighbor after thresholding;
+    completion visits the vertices no selected vertex dominates after
+    repair.
     """
     x = np.asarray(x, dtype=np.float64)
     selected = x >= 0.5
-    for u in range(g.n):
+    adj = g.adjacency()
+    w = g.w
+    for u in np.flatnonzero(selected & (adj @ selected > 0)).tolist():
         if not selected[u]:
             continue
-        for vtx in g.neighbors(u):
-            vtx = int(vtx)
-            if vtx <= u or not selected[vtx]:
-                continue
-            if g.w[u] < g.w[vtx] or (g.w[u] == g.w[vtx] and u < vtx):
-                selected[u] = False
-                break
-            selected[vtx] = False
-    order = sorted(range(g.n), key=lambda i: (-g.w[i], i))
-    for i in order:
-        if not selected[i] and not selected[g.neighbors(i)].any():
+        nb = g.neighbors(u)
+        rivals = nb[(nb > u) & selected[nb]]
+        # u drops the rivals lighter than itself, in ascending order, until
+        # one at least as heavy drops u instead
+        heavier = np.flatnonzero(w[rivals] >= w[u])
+        stop = heavier[0] if heavier.size else rivals.size
+        selected[rivals[:stop]] = False
+        if stop < rivals.size:
+            selected[u] = False
+    free = np.flatnonzero(~selected & ~(adj @ selected > 0))
+    for i in free[np.lexsort((free, -w[free]))].tolist():
+        if not selected[g.neighbors(i)].any():
             selected[i] = True
     return MisSolution.from_members(g, np.flatnonzero(selected))

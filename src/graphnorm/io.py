@@ -21,6 +21,7 @@ significant digits, so serialize -> parse -> serialize is byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -40,99 +41,175 @@ class FormatError(ValueError):
 # MWIS instances
 
 
+# Lines per bulk-read chunk: big enough to amortise the array calls, small
+# enough that the chunk's token list stays a few MB.
+CHUNK_LINES = 65536
+
+
 def parse_instance(text: str) -> WeightedGraph:
     """Parse a DIMACS-flavored MWIS instance into a validated graph.
 
     Vertex ids are 1-based in the file and converted to 0-based here.
+    Lines up to the problem line are read one at a time; the rest is read
+    in chunks of CHUNK_LINES lines whose tokens are converted and checked
+    as arrays.  A chunk that fails any check is read again line by line,
+    so the error names the first bad line, with the same message, as a
+    line-by-line reader would.
     """
-    n = None
-    m = None
-    weights: dict[int, float] = {}
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "p":
-                if len(parts) != 4 or parts[1] != "mwis":
-                    raise FormatError(f"line {lineno}: malformed problem line {line!r}")
-                if n is not None:
-                    raise FormatError(f"line {lineno}: duplicate problem line")
-                n, m = int(parts[2]), int(parts[3])
-            elif kind == "n":
-                if n is None:
-                    raise FormatError(f"line {lineno}: weight line before problem line")
-                if len(parts) != 3:
-                    raise FormatError(f"line {lineno}: malformed weight line {line!r}")
-                vid = int(parts[1])
-                if not 1 <= vid <= n:
-                    raise FormatError(f"line {lineno}: vertex id {vid} outside 1..{n}")
-                if vid in weights:
-                    raise FormatError(f"line {lineno}: duplicate weight for vertex {vid}")
-                weights[vid] = float(parts[2])
-            elif kind == "e":
-                if n is None:
-                    raise FormatError(f"line {lineno}: edge line before problem line")
-                if len(parts) != 3:
-                    raise FormatError(f"line {lineno}: malformed edge line {line!r}")
-                u, v = int(parts[1]), int(parts[2])
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise FormatError(f"line {lineno}: edge ({u},{v}) outside 1..{n}")
-                edges.append((u - 1, v - 1))
-            else:
-                raise FormatError(f"line {lineno}: unknown line type {kind!r}")
-        except ValueError as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(f"line {lineno}: cannot parse number in {line!r}") from exc
+    lines = text.splitlines()
+    reader = _LineReader()
+    pos = reader.read(lines, 0, until_problem=True)
+    n, m = reader.n, reader.m
     if n is None:
         raise FormatError("missing problem line")
-    if len(edges) != m:
-        raise FormatError(f"problem line declares {m} edges, file has {len(edges)}")
-    missing = [vid for vid in range(1, n + 1) if vid not in weights]
-    if missing:
-        raise FormatError(f"missing weight for vertex {missing[0]}")
-    w = [weights[vid] for vid in range(1, n + 1)]
+    if n > len(lines):
+        # too few lines for n weight lines: a line is bad or a weight missing
+        reader.read(lines, pos)
+        _check_edge_count(m, reader.edges)
+        first = next(vid for vid in itertools.count(1) if vid not in reader.ids)
+        raise FormatError(f"missing weight for vertex {first}")
+
+    weighted = np.zeros(max(n, 0) + 1, dtype=bool)  # by 1-based vertex id
+    w = np.empty(max(n, 0))
+    edge_chunks = []
+    for lo in range(pos, len(lines), CHUNK_LINES):
+        hi = min(lo + CHUNK_LINES, len(lines))
+        chunk = _read_chunk(lines[lo:hi], n, weighted)
+        if chunk is None:
+            _LineReader(n, m, weighted).read(lines, lo, hi)
+            raise AssertionError(f"lines {lo + 1}-{hi} failed a bulk check but read cleanly")
+        ids, values, edges = chunk
+        weighted[ids] = True
+        w[ids - 1] = values
+        edge_chunks.append(edges)
+    edges = np.concatenate(edge_chunks) if edge_chunks else np.empty((0, 2), dtype=np.int64)
+    _check_edge_count(m, len(edges))
+    if not weighted[1:].all():
+        raise FormatError(f"missing weight for vertex {int(np.argmin(weighted[1:])) + 1}")
     try:
         return build_graph(n, edges, w)
     except GraphError as exc:
         raise FormatError(str(exc)) from exc
 
 
-# Converter hook: external collections can register parsers for their own
-# instance syntax under a format name.
-# TODO(libmpopt): register a converter for the libmpopt instance format once
-# its exact syntax is pinned down.
-INSTANCE_PARSERS: dict[str, callable] = {"mwis": parse_instance}
+def _check_edge_count(m: int, count: int) -> None:
+    if count != m:
+        raise FormatError(f"problem line declares {m} edges, file has {count}")
 
 
-def parse_instance_as(text: str, fmt: str = "mwis") -> WeightedGraph:
-    """Parse an instance in a registered format (see INSTANCE_PARSERS)."""
+def _read_chunk(lines: list[str], n: int, weighted: np.ndarray):
+    """(vertex ids, weights, 0-based edges) of a chunk read as arrays.
+
+    Returns None if a line is malformed, a number does not parse, an id is
+    out of range, or a weight is repeated (in the chunk or in weighted).
+    Numbers go through int() and float(), as on the line-by-line path.
+    """
+    counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
+    tokens = np.array("\n".join(lines).split(), dtype=object)
+    nonblank = counts > 0
+    starts = (np.cumsum(counts) - counts)[nonblank]
+    heads = tokens[starts]
+    is_e = heads == "e"
+    data = is_e | (heads == "n")
+    comments = heads[~data]
+    if not all(map(str.startswith, comments, itertools.repeat("c"))):
+        return None
+    if not np.all(counts[nonblank][data] == 3):
+        return None
+    starts, is_e = starts[data], is_e[data]
     try:
-        parser = INSTANCE_PARSERS[fmt]
-    except KeyError:
-        raise FormatError(
-            f"no parser registered for format {fmt!r}; "
-            f"known: {sorted(INSTANCE_PARSERS)}"
-        ) from None
-    return parser(text)
+        first = np.fromiter(map(int, tokens[starts + 1]), dtype=np.int64, count=starts.size)
+        second = np.fromiter(map(int, tokens[starts[is_e] + 2]), dtype=np.int64)
+        values = np.fromiter(map(float, tokens[starts[~is_e] + 2]), dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    ids, u = first[~is_e], first[is_e]
+    ids_sorted = np.sort(ids)
+    if (
+        np.any((first < 1) | (first > n))
+        or np.any((second < 1) | (second > n))
+        or np.any(ids_sorted[1:] == ids_sorted[:-1])
+        or np.any(weighted[ids])
+    ):
+        return None
+    return ids, values, np.column_stack((u - 1, second - 1))
+
+
+class _LineReader:
+    """The line-by-line instance reader, which defines every error message.
+
+    It reads the lines before the problem line, re-reads a chunk that
+    failed a bulk check, and reads files with fewer lines than vertices.
+    It keeps only what its checks need: n, m, the vertex ids given a
+    weight, and the edge-line count.
+    """
+
+    def __init__(self, n=None, m=None, weighted=None):
+        self.n, self.m = n, m
+        self.weighted = weighted  # ids weighted by earlier chunks, or None
+        self.ids: set[int] = set()
+        self.edges = 0
+
+    def read(self, lines: list[str], lo: int, hi=None, until_problem: bool = False) -> int:
+        """Read lines[lo:hi], or up to the problem line; returns the next index."""
+        hi = len(lines) if hi is None else hi
+        for lineno in range(lo + 1, hi + 1):
+            line = lines[lineno - 1].strip()
+            if not line or line.startswith("c"):
+                continue
+            parts = line.split()
+            kind = parts[0]
+            try:
+                if kind == "p":
+                    if len(parts) != 4 or parts[1] != "mwis":
+                        raise FormatError(f"line {lineno}: malformed problem line {line!r}")
+                    if self.n is not None:
+                        raise FormatError(f"line {lineno}: duplicate problem line")
+                    self.n, self.m = int(parts[2]), int(parts[3])
+                    if until_problem:
+                        return lineno
+                elif kind == "n":
+                    if self.n is None:
+                        raise FormatError(f"line {lineno}: weight line before problem line")
+                    if len(parts) != 3:
+                        raise FormatError(f"line {lineno}: malformed weight line {line!r}")
+                    vid = int(parts[1])
+                    if not 1 <= vid <= self.n:
+                        raise FormatError(f"line {lineno}: vertex id {vid} outside 1..{self.n}")
+                    if vid in self.ids or (self.weighted is not None and self.weighted[vid]):
+                        raise FormatError(f"line {lineno}: duplicate weight for vertex {vid}")
+                    float(parts[2])
+                    self.ids.add(vid)
+                elif kind == "e":
+                    if self.n is None:
+                        raise FormatError(f"line {lineno}: edge line before problem line")
+                    if len(parts) != 3:
+                        raise FormatError(f"line {lineno}: malformed edge line {line!r}")
+                    u, v = int(parts[1]), int(parts[2])
+                    if not (1 <= u <= self.n and 1 <= v <= self.n):
+                        raise FormatError(f"line {lineno}: edge ({u},{v}) outside 1..{self.n}")
+                    self.edges += 1
+                else:
+                    raise FormatError(f"line {lineno}: unknown line type {kind!r}")
+            except ValueError as exc:
+                if isinstance(exc, FormatError):
+                    raise
+                raise FormatError(f"line {lineno}: cannot parse number in {line!r}") from exc
+        return hi
 
 
 def write_instance(g: WeightedGraph, comment: Optional[str] = None) -> str:
     """Render a graph in the instance format (edges canonicalized u < v)."""
-    lines = []
-    if comment:
-        for c in comment.splitlines():
-            lines.append(f"c {c}")
-    lines.append(f"p mwis {g.n} {g.num_edges}")
-    for i in range(g.n):
-        lines.append(f"n {i + 1} {float(g.w[i])!r}")
-    for u, v in g.edges():
-        lines.append(f"e {u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
+    head = [f"c {c}" for c in comment.splitlines()] if comment else []
+    head.append(f"p mwis {g.n} {g.num_edges}")
+    u, v = g.edge_arrays()
+    return "".join(
+        [
+            "\n".join(head) + "\n",
+            "".join(map("n {} {!r}\n".format, range(1, g.n + 1), g.w.tolist())),
+            "".join(map("e {} {}\n".format, (u + 1).tolist(), (v + 1).tolist())),
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------

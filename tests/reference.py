@@ -1,0 +1,197 @@
+"""Loop reference implementations of the vectorised graph layer.
+
+Deliberately plain: each function is the straightforward per-vertex or
+per-line loop the package's array code must agree with, bit for bit and
+message for message.  The differential tests in test_reference.py
+compare the two; nothing in the package imports this module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from graphnorm.graph import GraphError, MisSolution, WeightedGraph
+from graphnorm.io import FormatError
+
+
+def csr_lists(n, edges):
+    """(indptr, indices) as int64 arrays from a set of tuples and per-row sorts."""
+    seen = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) has an endpoint outside [0,{n})")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        seen.add((u, v) if u < v else (v, u))
+
+    deg = np.zeros(n + 1, dtype=np.int64)
+    for u, v in seen:
+        deg[u + 1] += 1
+        deg[v + 1] += 1
+    indptr = np.cumsum(deg)
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for u, v in sorted(seen):
+        indices[cursor[u]] = v
+        cursor[u] += 1
+        indices[cursor[v]] = u
+        cursor[v] += 1
+    for i in range(n):
+        indices[indptr[i] : indptr[i + 1]].sort()
+    return indptr, indices
+
+
+def build_graph(n, edges, weights) -> WeightedGraph:
+    if n < 0:
+        raise GraphError(f"vertex count must be nonnegative, got {n}")
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise GraphError(f"expected {n} weights, got {w.shape}")
+    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        bad = int(np.argmin(np.where(np.isfinite(w), w, -np.inf)))
+        raise GraphError(f"weight of vertex {bad} must be positive and finite, got {w[bad]}")
+    indptr, indices = csr_lists(n, edges)
+    return WeightedGraph(n, indptr, indices, w)
+
+
+def edges(g):
+    """Edges (u, v) with u < v, ascending, one row at a time."""
+    out = []
+    for u in range(g.n):
+        for v in g.neighbors(u):
+            if v > u:
+                out.append((u, int(v)))
+    return out
+
+
+def _members(g, members):
+    idx = np.fromiter((int(i) for i in members), dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= g.n):
+        raise GraphError(f"vertex index outside [0,{g.n})")
+    return np.unique(idx)
+
+
+def is_independent(g, members) -> bool:
+    idx = _members(g, members)
+    mask = np.zeros(g.n, dtype=bool)
+    mask[idx] = True
+    for i in idx:
+        if mask[g.neighbors(i)].any():
+            return False
+    return True
+
+
+def is_maximal_independent(g, members) -> bool:
+    if not is_independent(g, members):
+        return False
+    mask = np.zeros(g.n, dtype=bool)
+    mask[_members(g, members)] = True
+    for i in range(g.n):
+        if not mask[i] and not mask[g.neighbors(i)].any():
+            return False
+    return True
+
+
+def mis_solution(g, members) -> MisSolution:
+    idx = _members(g, members)
+    return MisSolution(
+        members=tuple(int(i) for i in idx),
+        weight=float(g.w[idx].sum()),
+        independent=is_independent(g, idx),
+        maximal=is_maximal_independent(g, idx),
+    )
+
+
+def round_to_mis(g, x) -> MisSolution:
+    """Threshold, repair every conflict in vertex order, complete greedily."""
+    x = np.asarray(x, dtype=np.float64)
+    selected = x >= 0.5
+    for u in range(g.n):
+        if not selected[u]:
+            continue
+        for vtx in g.neighbors(u):
+            vtx = int(vtx)
+            if vtx <= u or not selected[vtx]:
+                continue
+            if g.w[u] < g.w[vtx] or (g.w[u] == g.w[vtx] and u < vtx):
+                selected[u] = False
+                break
+            selected[vtx] = False
+    order = sorted(range(g.n), key=lambda i: (-g.w[i], i))
+    for i in order:
+        if not selected[i] and not selected[g.neighbors(i)].any():
+            selected[i] = True
+    return mis_solution(g, np.flatnonzero(selected))
+
+
+def parse_instance(text: str) -> WeightedGraph:
+    """The line-at-a-time instance parser."""
+    n = None
+    m = None
+    weights: dict[int, float] = {}
+    edge_list: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        kind = parts[0]
+        try:
+            if kind == "p":
+                if len(parts) != 4 or parts[1] != "mwis":
+                    raise FormatError(f"line {lineno}: malformed problem line {line!r}")
+                if n is not None:
+                    raise FormatError(f"line {lineno}: duplicate problem line")
+                n, m = int(parts[2]), int(parts[3])
+            elif kind == "n":
+                if n is None:
+                    raise FormatError(f"line {lineno}: weight line before problem line")
+                if len(parts) != 3:
+                    raise FormatError(f"line {lineno}: malformed weight line {line!r}")
+                vid = int(parts[1])
+                if not 1 <= vid <= n:
+                    raise FormatError(f"line {lineno}: vertex id {vid} outside 1..{n}")
+                if vid in weights:
+                    raise FormatError(f"line {lineno}: duplicate weight for vertex {vid}")
+                weights[vid] = float(parts[2])
+            elif kind == "e":
+                if n is None:
+                    raise FormatError(f"line {lineno}: edge line before problem line")
+                if len(parts) != 3:
+                    raise FormatError(f"line {lineno}: malformed edge line {line!r}")
+                u, v = int(parts[1]), int(parts[2])
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise FormatError(f"line {lineno}: edge ({u},{v}) outside 1..{n}")
+                edge_list.append((u - 1, v - 1))
+            else:
+                raise FormatError(f"line {lineno}: unknown line type {kind!r}")
+        except ValueError as exc:
+            if isinstance(exc, FormatError):
+                raise
+            raise FormatError(f"line {lineno}: cannot parse number in {line!r}") from exc
+    if n is None:
+        raise FormatError("missing problem line")
+    if len(edge_list) != m:
+        raise FormatError(f"problem line declares {m} edges, file has {len(edge_list)}")
+    missing = [vid for vid in range(1, n + 1) if vid not in weights]
+    if missing:
+        raise FormatError(f"missing weight for vertex {missing[0]}")
+    w = [weights[vid] for vid in range(1, n + 1)]
+    try:
+        return build_graph(n, edge_list, w)
+    except GraphError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def write_instance(g, comment=None) -> str:
+    lines = []
+    if comment:
+        for c in comment.splitlines():
+            lines.append(f"c {c}")
+    lines.append(f"p mwis {g.n} {g.num_edges}")
+    for i in range(g.n):
+        lines.append(f"n {i + 1} {float(g.w[i])!r}")
+    for u, v in edges(g):
+        lines.append(f"e {u + 1} {v + 1}")
+    return "\n".join(lines) + "\n"

@@ -136,3 +136,12 @@ def test_erdos_renyi_deterministic():
     assert np.array_equal(g1.indices, g2.indices)
     np.testing.assert_array_equal(g1.w, g2.w)
     assert np.all(g1.w >= 0.1) and np.all(g1.w <= 10.0)
+
+
+def test_single_csr_store():
+    g = erdos_renyi(30, 0.3, 4)
+    adj = g.adjacency()
+    assert g.indptr is adj.indptr and g.indices is adj.indices
+    assert g.indices.dtype == np.int32 and g.indptr.dtype == np.int32
+    for a in (g.indptr, g.indices, adj.data):
+        assert not a.flags.writeable

@@ -1,0 +1,161 @@
+"""Differential tests: the vectorised graph layer against the loop references."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+import graphnorm.io
+import reference
+from graphnorm import (
+    GraphError,
+    MisSolution,
+    build_graph,
+    erdos_renyi,
+    is_independent,
+    is_maximal_independent,
+    round_to_mis,
+)
+from graphnorm.io import FormatError, parse_instance, write_instance
+
+
+@st.composite
+def edge_lists(draw, max_n=12):
+    """Vertex count plus an edge list with duplicates, both orientations and isolated vertices."""
+    n = draw(st.integers(1, max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=3 * n))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    flipped = [(v, u) for u, v in repeats]
+    order = draw(st.permutations(edges + repeats + flipped))
+    return n, list(order)
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    n, edges = draw(edge_lists())
+    weights = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n))
+    return build_graph(n, edges, weights)
+
+
+@given(edge_lists(), st.booleans())
+def test_build_graph_matches_reference(parts, as_array):
+    n, edges = parts
+    w = np.arange(1.0, n + 1.0)
+    g = build_graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges, w)
+    indptr, indices = reference.csr_lists(n, edges)
+    np.testing.assert_array_equal(g.indptr, indptr)
+    np.testing.assert_array_equal(g.indices, indices)
+    np.testing.assert_array_equal(g.w, w)
+    assert list(g.edges()) == reference.edges(g)
+
+
+@given(edge_lists(), st.lists(st.tuples(st.integers(-2, 14), st.integers(-2, 14)), min_size=1, max_size=3), st.data())
+def test_build_graph_errors_match_reference(parts, bad, data):
+    n, edges = parts
+    at = data.draw(st.integers(0, len(edges)))
+    edges = edges[:at] + bad + edges[at:]
+    w = np.ones(n)
+
+    def message(build):
+        try:
+            build(n, edges, w)
+        except GraphError as exc:
+            return str(exc)
+        return None
+
+    assert message(build_graph) == message(reference.build_graph)
+
+
+@given(tie_heavy_graphs(), st.data())
+def test_predicates_match_reference(g, data):
+    members = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n + 2))
+    assert is_independent(g, members) == reference.is_independent(g, members)
+    assert is_maximal_independent(g, members) == reference.is_maximal_independent(g, members)
+    assert is_independent(g, np.array(members, dtype=np.int64)) == reference.is_independent(g, members)
+    assert MisSolution.from_members(g, members) == reference.mis_solution(g, members)
+
+
+@given(tie_heavy_graphs(), st.data())
+def test_round_to_mis_matches_reference(g, data):
+    # most entries at or above 0.5, so thresholding leaves many conflicts
+    x = data.draw(
+        st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.5, 0.7, 1.0, 1.0]), min_size=g.n, max_size=g.n)
+    )
+    assert round_to_mis(g, x) == reference.round_to_mis(g, x)
+
+
+@given(st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**16), st.sampled_from([None, "one", "two\nlines"]))
+def test_write_instance_matches_reference(n, p, seed, comment):
+    g = erdos_renyi(n, p, seed) if n else build_graph(0, [], [])
+    assert write_instance(g, comment) == reference.write_instance(g, comment)
+
+
+# ---------------------------------------------------------------------------
+# Instance parsing on mutated texts
+
+ODD_LINES = [
+    "", "   ", "c note", "cx y z", "p mwis 3 1", "p mwis x 1", "p xyz 1 2", "p mwis 2",
+    "n 1", "n 1 2 3", "n 0 1", "n 99 1", "n 1 abc", "n 1 -2", "n 1 nan", "n 1 inf", "n 1 0",
+    "n 2 1.5", "n 1_0 2", "n 99999999999999999999999 1", "\tn 1 2 ", "q 1 2",
+    "e 1", "e 1 1", "e 0 1", "e 1 99", "e 1 x", "e +1 2", "e\t2\t1", "e 1 2 3", "e 2 1",
+]
+
+
+@st.composite
+def instance_texts(draw):
+    n, edges = draw(edge_lists(max_n=8))
+    weights = draw(st.lists(st.sampled_from([1.0, 2.0, 0.5, 3.25]), min_size=n, max_size=n))
+    body = [f"n {i + 1} {wi!r}" for i, wi in enumerate(weights)]
+    body += [f"e {u + 1} {v + 1}" for u, v in edges]
+    lines = ["c generated"] + [f"p mwis {n} {len(edges)}"] + draw(st.permutations(body))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["delete", "copy", "replace", "insert", "problem"]))
+        if op == "insert" or not lines:
+            lines.insert(k, draw(st.sampled_from(ODD_LINES)))
+        elif op == "delete":
+            del lines[min(k, len(lines) - 1)]
+        elif op == "copy":
+            lines.insert(k, lines[min(k, len(lines) - 1)])
+        elif op == "replace":
+            lines[min(k, len(lines) - 1)] = draw(st.sampled_from(ODD_LINES))
+        else:
+            lines[1] = draw(st.sampled_from([f"p mwis {n + 50} {len(edges)}", f"p mwis {n} {len(edges) + 1}", "p mwis -1 0", "p mwis 0 0"]))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except FormatError as exc:
+        return str(exc)
+    return g.n, g.indptr.tolist(), g.indices.tolist(), g.w.tolist()
+
+
+@given(instance_texts(), st.sampled_from([1, 2, 3, 5, graphnorm.io.CHUNK_LINES]))
+def test_parse_instance_matches_reference(text, chunk_lines):
+    with mock.patch.object(graphnorm.io, "CHUNK_LINES", chunk_lines):
+        assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p mwis 2 1\nn 1 4\nn 2 1\ne 1 2\nn 1 3\n",  # duplicate weight in a later chunk
+        "p mwis 3 0\nn 1 4\nn 2 x\nn 2 1\n",  # bad number before a duplicate
+        "p mwis 2 1\nn 1 4\nn 2 1\ne 2 2\n",  # self-loop reported 0-based
+        "c only comments\n\n",
+        "p mwis 500 0\nn 1 1\n",  # fewer lines than vertices
+    ],
+)
+def test_parse_instance_errors_match_reference(text):
+    with mock.patch.object(graphnorm.io, "CHUNK_LINES", 2):
+        assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, text)
+
+
+def test_parse_instance_huge_vertex_count_is_quick():
+    # the reference would list every missing id; the parser stops at the first
+    with pytest.raises(FormatError, match="missing weight for vertex 2"):
+        parse_instance("p mwis 1000000000000 0\nn 1 1\n")

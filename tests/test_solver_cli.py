@@ -261,11 +261,3 @@ def test_exit_code_precedence():
     # an invalid solution outranks the anomaly signal
     assert exit_code_for(result_with(False, True), anomalous) == 1
 
-
-def test_parser_registry_hook():
-    from graphnorm.io import FormatError, parse_instance_as
-
-    g = parse_instance_as(K2_TEXT, "mwis")
-    assert g.n == 2
-    with pytest.raises(FormatError, match="no parser registered"):
-        parse_instance_as(K2_TEXT, "libmpopt")
