@@ -63,7 +63,8 @@ def parse_instance(text: str) -> WeightedGraph:
     if n is None:
         raise FormatError("missing problem line")
     if n > len(lines):
-        # too few lines for n weight lines: a line is bad or a weight missing
+        # too few lines to weight n vertices, so the file is bad: find the
+        # error line by line rather than size arrays by an untrusted n
         reader.read(lines, pos)
         _check_edge_count(m, reader.edges)
         first = next(vid for vid in itertools.count(1) if vid not in reader.ids)
