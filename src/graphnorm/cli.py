@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -24,6 +25,7 @@ from .analysis import mis_stability
 from .graph import GraphError, MisSolution, WeightedGraph
 from .io import (
     FormatError,
+    SolveResult,
     parse_instance,
     parse_warm_start,
     read_reference_csv,
@@ -51,52 +53,21 @@ def _load_instance(path: str) -> tuple[str, WeightedGraph]:
     return p.stem, g
 
 
-def _add_solve_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--gamma0", type=float, default=0.9)
-    sp.add_argument("--gamma1", type=float, default=1.5)
-    sp.add_argument("--iterations", type=int, default=1000)
-    sp.add_argument("--starts", type=int, default=16)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--warm-start",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="fractional start vector (repeatable; one trajectory per file)",
-    )
+# RunConfig fields set from same-named flags; their defaults come from RunConfig
+_RUN_FLAGS = ("gamma0", "gamma1", "iterations", "starts", "seed")
+
+
+def _add_run_flags(sp: argparse.ArgumentParser) -> None:
+    defaults = RunConfig()
+    for name in _RUN_FLAGS:
+        value = getattr(defaults, name)
+        sp.add_argument(f"--{name}", type=type(value), default=value)
     sp.add_argument("--reference", metavar="CSV", help="reference objectives")
     sp.add_argument("--output", metavar="FILE", help="result destination (default stdout)")
-    sp.add_argument(
-        "--trace",
-        action="store_true",
-        help="write per-iteration traces next to the result file",
-    )
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        gamma0=args.gamma0,
-        gamma1=args.gamma1,
-        iterations=args.iterations,
-        starts=args.starts,
-        seed=args.seed,
-        trace=args.trace,
-    )
-
-
-def _trace_payload(stats) -> str:
-    payload = {
-        sid: {
-            "gamma": tr.gamma,
-            "energy": tr.energy,
-            "pre_energy": tr.pre_energy,
-            "mass": tr.mass,
-            "step_inf": tr.step_inf,
-            "fallbacks": tr.fallbacks,
-        }
-        for sid, tr in stats.traces.items()
-    }
-    return json.dumps(payload, indent=2) + "\n"
+def _config_from_args(args, trace: bool = False) -> RunConfig:
+    return RunConfig(trace=trace, **{name: getattr(args, name) for name in _RUN_FLAGS})
 
 
 def exit_code_for(result, stats) -> int:
@@ -109,8 +80,10 @@ def exit_code_for(result, stats) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.trace and args.output in (None, "-"):
+        raise ValueError("--trace writes FILE.trace.json next to the result; give --output FILE")
     name, g = _load_instance(args.instance)
-    config = _config_from_args(args)
+    config = _config_from_args(args, args.trace)
     warm = None
     if args.warm_start:
         warm = [
@@ -122,8 +95,9 @@ def cmd_solve(args) -> int:
         reference = table.get(name)
     result, stats = solve_instance(g, name, config, warm, reference)
     _emit(write_result(result), args.output)
-    if args.trace and args.output and args.output != "-":
-        Path(args.output + ".trace.json").write_text(_trace_payload(stats))
+    if args.trace:
+        payload = {sid: asdict(trace) for sid, trace in stats.traces.items()}
+        Path(args.output + ".trace.json").write_text(json.dumps(payload, indent=2) + "\n")
     return exit_code_for(result, stats)
 
 
@@ -215,10 +189,9 @@ def cmd_bench(args) -> int:
         result, stats = solve_instance(g, name, config, None, reference)
         if out_dir:
             (out_dir / f"{name}.json").write_text(write_result(result))
-        objectives = [s.objective for s in result.starts]
         mean_ms = sum(s.wall_time_ms for s in result.starts) / len(result.starts)
-        if reference is not None and reference > 0:
-            gaps = [(reference - o) / reference * 100.0 for o in objectives]
+        if result.gap_percent is not None:
+            gaps = [SolveResult.gap_of(reference, s.objective) for s in result.starts]
             egap = sum(gaps) / len(gaps)
             egaps.append(egap)
             best_gaps.append(result.gap_percent)
@@ -257,7 +230,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="multi-start solve of one instance")
     sp.add_argument("instance")
-    _add_solve_flags(sp)
+    _add_run_flags(sp)
+    sp.add_argument(
+        "--warm-start",
+        action="append",
+        default=[],
+        metavar="FILE",
+        help="fractional start vector (repeatable; one trajectory per file)",
+    )
+    sp.add_argument(
+        "--trace",
+        action="store_true",
+        help="write per-iteration traces to FILE.trace.json (needs --output FILE)",
+    )
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("verify", help="check a vertex subset against an instance")
@@ -288,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--results-dir", metavar="DIR", help="write per-instance JSON results here"
     )
-    _add_solve_flags(sp)
+    _add_run_flags(sp)
     sp.set_defaults(func=cmd_bench)
     return ap
 

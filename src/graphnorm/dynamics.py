@@ -17,7 +17,9 @@ import numpy as np
 from .graph import MisSolution, WeightedGraph
 
 # Denominators at or below this threshold trigger the documented 0.5
-# fallback instead of a division; cannot fire from a normalizable start.
+# fallback instead of a division.  The threshold is absolute, so the
+# fallback also fires on valid runs once states decay toward zero (and at
+# small weight scales); ROADMAP item 2 tracks the scale-free fix.
 SAFE_DIV_THRESHOLD = 1e-9
 FALLBACK_VALUE = 0.5
 
@@ -32,35 +34,37 @@ class NormalizationError(ValueError):
 class GammaSchedule:
     """Interpolation plan for the regularization parameter.
 
-    linear mode moves gamma from gamma0 at step 0 to gamma1 at the last
-    step; constant mode holds gamma0 throughout.
+    gamma moves linearly from gamma0 at step 0 to gamma1 at the last
+    step.  The mode is derived, not chosen: equal endpoints make the
+    schedule "constant", which holds gamma0 exactly; any other pair is
+    "linear".
     """
 
     gamma0: float
     gamma1: float
     iterations: int
-    mode: str = "linear"
+    mode: str = field(init=False)
 
     def __post_init__(self):
-        if self.mode not in ("constant", "linear"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
+        mode = "constant" if self.gamma0 == self.gamma1 else "linear"
+        object.__setattr__(self, "mode", mode)
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
-        if self.mode == "linear" and self.iterations < 2:
+        if mode == "linear" and self.iterations < 2:
             raise ValueError("linear mode needs at least 2 iterations")
         if self.gamma0 < 0 or self.gamma1 < 0:
             raise ValueError("gamma must be nonnegative")
 
     @classmethod
     def constant(cls, gamma: float, iterations: int) -> "GammaSchedule":
-        return cls(gamma, gamma, iterations, mode="constant")
+        return cls(gamma, gamma, iterations)
 
     @classmethod
     def pursuit(
         cls, gamma0: float = 0.9, gamma1: float = 1.5, iterations: int = 1000
     ) -> "GammaSchedule":
         """Default graduated schedule: linear 0.9 -> 1.5 over 1000 steps."""
-        return cls(gamma0, gamma1, iterations, mode="linear")
+        return cls(gamma0, gamma1, iterations)
 
     def gamma_at(self, k: int) -> float:
         if self.mode == "constant":
@@ -70,7 +74,7 @@ class GammaSchedule:
 
     @property
     def final_gamma(self) -> float:
-        return self.gamma0 if self.mode == "constant" else self.gamma1
+        return self.gamma1
 
 
 @dataclass

@@ -1,15 +1,15 @@
 """Multi-start orchestration: run trajectories, round, and aggregate.
 
 Each random start owns an RNG stream derived from (base seed, start
-index), so results are byte-identical regardless of how many worker
-threads execute the starts.
+index), so results are byte-identical whichever pool thread runs a start
+and in whatever order the starts finish.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from .dynamics import (
     GammaSchedule,
     NormalizationError,
+    SolveTrace,
     init_random,
     init_warm,
     round_to_mis,
@@ -36,22 +37,17 @@ class RunConfig:
     starts: int = 16
     seed: int = 0
     trace: bool = False
-    jobs: Optional[int] = None  # worker threads; None picks a sensible default
-
-    def validate(self) -> None:
-        if not self.gamma1 >= self.gamma0 > 0:
-            raise ValueError("need gamma1 >= gamma0 > 0")
-        mode = "constant" if self.gamma0 == self.gamma1 else "linear"
-        if mode == "linear" and self.iterations < 2:
-            raise ValueError("linear schedule needs at least 2 iterations")
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
-        if self.starts < 1:
-            raise ValueError("starts must be at least 1")
 
     def schedule(self) -> GammaSchedule:
-        mode = "constant" if self.gamma0 == self.gamma1 else "linear"
-        return GammaSchedule(self.gamma0, self.gamma1, self.iterations, mode=mode)
+        """The run's schedule; raises ValueError on a config no solve accepts.
+
+        GammaSchedule checks the iteration budget against the mode.
+        """
+        if not self.gamma1 >= self.gamma0 > 0:
+            raise ValueError("need gamma1 >= gamma0 > 0")
+        if self.starts < 1:
+            raise ValueError("starts must be at least 1")
+        return GammaSchedule(self.gamma0, self.gamma1, self.iterations)
 
 
 @dataclass
@@ -69,7 +65,8 @@ def _run_single(
     schedule: GammaSchedule,
     start_id: str,
     record_trace: bool,
-):
+) -> tuple[StartRecord, Optional[SolveTrace]]:
+    """One start, rounded; the trace is None when the start aborted."""
     t0 = time.perf_counter()
     try:
         x, trace = run_wrgn(g, x0, schedule, record_trace=record_trace)
@@ -83,7 +80,7 @@ def _run_single(
             iterations=0,
             wall_time_ms=elapsed,
         )
-        return rec, 0, True, None
+        return rec, None
     elapsed = (time.perf_counter() - t0) * 1000.0
     solution = round_to_mis(g, x)
     rec = StartRecord(
@@ -94,7 +91,7 @@ def _run_single(
         iterations=len(trace),
         wall_time_ms=elapsed,
     )
-    return rec, trace.total_fallbacks, False, (trace if record_trace else None)
+    return rec, trace
 
 
 def solve_instance(
@@ -109,7 +106,6 @@ def solve_instance(
     With warm starts supplied, one trajectory runs per vector; otherwise
     `config.starts` random starts are used.
     """
-    config.validate()
     schedule = config.schedule()
 
     tasks: list[tuple[str, np.ndarray]] = []
@@ -120,34 +116,25 @@ def solve_instance(
         for i in range(config.starts):
             tasks.append((f"seed-{config.seed}.{i}", init_random(g.n, [config.seed, i])))
 
-    stats = RunStats()
-    jobs = config.jobs or min(len(tasks), 8)
-
     def work(item):
         start_id, x0 = item
         return _run_single(g, x0, schedule, start_id, config.trace)
 
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(work, tasks))
-    else:
-        outcomes = [work(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=min(len(tasks), 8)) as pool:
+        outcomes = list(pool.map(work, tasks))
 
+    stats = RunStats()
     records = []
-    for (start_id, _), (rec, fallbacks, aborted, trace) in zip(tasks, outcomes):
+    for (start_id, _), (rec, trace) in zip(tasks, outcomes):
         records.append(rec)
-        stats.fallback_events += fallbacks
-        stats.aborted_starts += int(aborted)
-        if trace is not None:
+        if trace is None:
+            stats.aborted_starts += 1
+            continue
+        stats.fallback_events += trace.total_fallbacks
+        if config.trace:
             stats.traces[start_id] = trace
 
-    schedule_info = {
-        "gamma0": schedule.gamma0,
-        "gamma1": schedule.gamma1,
-        "iterations": schedule.iterations,
-        "mode": schedule.mode,
-    }
     result = make_result(
-        instance_name, g, records, schedule_info, reference_objective
+        instance_name, g, records, asdict(schedule), reference_objective
     )
     return result, stats

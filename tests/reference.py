@@ -1,17 +1,19 @@
-"""Loop reference implementations of the vectorised graph layer.
+"""Loop reference implementations of the vectorised graph layer and the solver.
 
 Deliberately plain: each function is the straightforward per-vertex or
 per-line loop the package's array code must agree with, bit for bit and
-message for message.  The differential tests in test_reference.py
-compare the two; nothing in the package imports this module.
+message for message.  The differential tests in test_reference.py and
+test_solver_cli.py compare the two; nothing in the package imports this
+module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from graphnorm.dynamics import init_random, init_warm, run_wrgn
 from graphnorm.graph import GraphError, MisSolution, WeightedGraph
-from graphnorm.io import FormatError
+from graphnorm.io import FormatError, StartRecord, make_result
 
 
 def csr_lists(n, edges):
@@ -195,3 +197,32 @@ def write_instance(g, comment=None) -> str:
     for u, v in edges(g):
         lines.append(f"e {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"
+
+
+def solve_instance(g, instance_name, config, warm_starts=None, reference_objective=None):
+    """The multi-start solve run serially, one start after another, in order.
+
+    Wall times are 0; compare results with them blanked.
+    """
+    schedule = config.schedule()
+    if warm_starts:
+        starts = [(f"warm-{i}", init_warm(vec, g.n)) for i, vec in enumerate(warm_starts)]
+    else:
+        starts = [
+            (f"seed-{config.seed}.{i}", init_random(g.n, [config.seed, i]))
+            for i in range(config.starts)
+        ]
+    records = []
+    for start_id, x0 in starts:
+        x, trace = run_wrgn(g, x0, schedule)
+        sol = round_to_mis(g, x)
+        records.append(
+            StartRecord(start_id, sol.weight, sol.independent, sol.maximal, len(trace), 0.0)
+        )
+    schedule_info = {
+        "gamma0": config.gamma0,
+        "gamma1": config.gamma1,
+        "iterations": config.iterations,
+        "mode": "constant" if config.gamma0 == config.gamma1 else "linear",
+    }
+    return make_result(instance_name, g, records, schedule_info, reference_objective)

@@ -132,13 +132,30 @@ def test_schedule_constant():
     assert all(s.gamma_at(k) == 1.2 for k in range(10))
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9, 1.0, 1.2, 1.5, 2.0 / 3.0])
+def test_schedule_mode_derived_from_endpoints(gamma):
+    s = GammaSchedule(gamma, gamma, 37)
+    assert s.mode == "constant"
+    assert s == GammaSchedule.constant(gamma, 37)
+    assert all(s.gamma_at(k) == gamma for k in range(37))
+    assert s.final_gamma == gamma
+    assert GammaSchedule(gamma, gamma + 0.5, 37).mode == "linear"
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        GammaSchedule(0.9, 1.5, 1, mode="linear")
+        GammaSchedule(0.9, 1.5, 1)  # linear needs >= 2 iterations
     with pytest.raises(ValueError):
-        GammaSchedule(0.9, 1.5, 0, mode="constant")
+        GammaSchedule(0.9, 1.5, 0)
     with pytest.raises(ValueError):
-        GammaSchedule(0.9, 1.5, 10, mode="diagonal")
+        GammaSchedule(1.2, 1.2, 0)  # constant still needs one iteration
+    with pytest.raises(ValueError):
+        GammaSchedule(-0.1, 1.5, 10)
+    with pytest.raises(ValueError):
+        GammaSchedule.constant(-1.0, 10)
+    with pytest.raises(TypeError):
+        GammaSchedule(0.9, 1.5, 10, mode="diagonal")  # the mode is not an argument
+    assert GammaSchedule(1.2, 1.2, 1).mode == "constant"
 
 
 def test_run_wrgn_k2_uniform_binarizes(k2_uniform):

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphnorm import build_graph
-from graphnorm.cli import main
-from graphnorm.io import parse_result, write_instance
+import reference
+from graphnorm import GammaSchedule, build_graph, erdos_renyi
+from graphnorm.cli import _config_from_args, build_parser, main
+from graphnorm.io import parse_result, write_instance, write_result
 from graphnorm.solver import RunConfig, solve_instance
 
 K2_TEXT = "p mwis 2 1\nn 1 4\nn 2 1\ne 1 2\n"
@@ -51,29 +52,73 @@ def _stable_view(result_text: str) -> str:
     return json.dumps(obj, indent=2)
 
 
-def test_solver_deterministic_across_parallelism(tmp_path):
-    g = build_graph(
-        8,
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7), (1, 6)],
-        [3, 1, 4, 1, 5, 9, 2, 6],
+# every start of every case below ends at a different objective, so a
+# start run with the wrong seed, vector or schedule, or reported out of
+# order, changes the result
+ER40 = erdos_renyi(40, 0.15, 1)
+
+
+@pytest.mark.parametrize(
+    "config, warm",
+    [
+        (RunConfig(starts=6, iterations=150, seed=5), None),
+        (RunConfig(iterations=150), list(np.random.default_rng(1).random((3, 40)))),
+        (RunConfig(gamma0=1.2, gamma1=1.2, starts=3, iterations=150), None),
+    ],
+    ids=["random", "warm", "constant"],
+)
+def test_solver_matches_serial_reference(config, warm):
+    pooled, stats = solve_instance(ER40, "er40", config, warm, reference_objective=95.0)
+    serial = reference.solve_instance(ER40, "er40", config, warm, reference_objective=95.0)
+    assert _stable_view(write_result(pooled)) == _stable_view(write_result(serial))
+    assert len({s.objective for s in pooled.starts}) == len(pooled.starts)
+    assert stats.aborted_starts == 0 and stats.traces == {}
+
+
+@pytest.mark.parametrize(
+    "config, mode",
+    [
+        (RunConfig(starts=1, iterations=50), "linear"),
+        (RunConfig(gamma0=1.2, gamma1=1.2, starts=1, iterations=50), "constant"),
+    ],
+)
+def test_result_schedule_block_text(k2_heavy, config, mode):
+    text = write_result(solve_instance(k2_heavy, "k2", config)[0])
+    block = (
+        '  "schedule": {\n'
+        f'    "gamma0": {config.gamma0},\n'
+        f'    "gamma1": {config.gamma1},\n'
+        '    "iterations": 50,\n'
+        f'    "mode": "{mode}"\n'
+        "  },\n"
     )
-    serial, _ = solve_instance(g, "ring", RunConfig(starts=6, iterations=150, jobs=1))
-    parallel, _ = solve_instance(g, "ring", RunConfig(starts=6, iterations=150, jobs=6))
-    from graphnorm.io import write_result
-
-    assert _stable_view(write_result(serial)) == _stable_view(write_result(parallel))
+    assert block in text
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(gamma0=1.6, gamma1=1.5).validate()
-    with pytest.raises(ValueError):
-        RunConfig(gamma0=0.0).validate()
-    with pytest.raises(ValueError):
-        RunConfig(iterations=1).validate()  # linear default needs >= 2
-    with pytest.raises(ValueError):
-        RunConfig(starts=0).validate()
-    RunConfig(gamma0=1.5, gamma1=1.5, iterations=1).validate()  # constant is fine
+def test_run_defaults_have_one_source():
+    assert RunConfig().schedule() == GammaSchedule.pursuit()
+    solve_args = build_parser().parse_args(["solve", "x.mwis"])
+    assert _config_from_args(solve_args, solve_args.trace) == RunConfig()
+    assert _config_from_args(build_parser().parse_args(["bench", "dir"])) == RunConfig()
+
+
+def test_config_validation(k2_heavy):
+    bad = [
+        RunConfig(gamma0=1.6, gamma1=1.5),
+        RunConfig(gamma0=0.0),
+        RunConfig(gamma0=-0.5, gamma1=-0.5),
+        RunConfig(iterations=1),  # linear default needs >= 2
+        RunConfig(iterations=0),
+        RunConfig(gamma0=1.5, gamma1=1.5, iterations=0),
+        RunConfig(starts=0),
+    ]
+    for config in bad:
+        with pytest.raises(ValueError):
+            config.schedule()
+        with pytest.raises(ValueError):
+            solve_instance(k2_heavy, "k2", config)
+    # constant is fine with one iteration
+    assert RunConfig(gamma0=1.5, gamma1=1.5, iterations=1).schedule().mode == "constant"
 
 
 def test_cli_solve_writes_result(k2_file, tmp_path, capsys):
@@ -120,6 +165,25 @@ def test_cli_solve_with_reference_and_trace(k2_file, tmp_path):
     assert set(traces) == {"seed-0.0", "seed-0.1"}
     energies = traces["seed-0.0"]["energy"]
     assert len(energies) == 120
+
+
+@pytest.mark.parametrize("output", [[], ["--output", "-"]])
+def test_cli_solve_trace_needs_output_file(tmp_path, capsys, output):
+    # the instance is never read: the missing file would be a different error
+    code = main(["solve", str(tmp_path / "missing.mwis"), "--trace"] + output)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--output" in err and "missing.mwis" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", [["--trace"], ["--warm-start", "warm.txt"]])
+def test_cli_bench_rejects_solve_only_flags(tmp_path, capsys, flag):
+    (tmp_path / "k2.mwis").write_text(K2_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(tmp_path)] + flag)
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
 
 
 def test_cli_solve_warm_start(k2_file, tmp_path, capsys):
