@@ -53,21 +53,22 @@ def _load_instance(path: str) -> tuple[str, WeightedGraph]:
     return p.stem, g
 
 
-# RunConfig fields set from same-named flags; their defaults come from RunConfig
+# RunConfig fields set from same-named flags; a flag not given is None and
+# leaves the RunConfig default
 _RUN_FLAGS = ("gamma0", "gamma1", "iterations", "starts", "seed")
 
 
 def _add_run_flags(sp: argparse.ArgumentParser) -> None:
     defaults = RunConfig()
     for name in _RUN_FLAGS:
-        value = getattr(defaults, name)
-        sp.add_argument(f"--{name}", type=type(value), default=value)
+        sp.add_argument(f"--{name}", type=type(getattr(defaults, name)))
     sp.add_argument("--reference", metavar="CSV", help="reference objectives")
     sp.add_argument("--output", metavar="FILE", help="result destination (default stdout)")
 
 
 def _config_from_args(args, trace: bool = False) -> RunConfig:
-    return RunConfig(trace=trace, **{name: getattr(args, name) for name in _RUN_FLAGS})
+    given = {name: getattr(args, name) for name in _RUN_FLAGS}
+    return RunConfig(trace=trace, **{k: v for k, v in given.items() if v is not None})
 
 
 def exit_code_for(result, stats) -> int:
@@ -82,6 +83,8 @@ def exit_code_for(result, stats) -> int:
 def cmd_solve(args) -> int:
     if args.trace and args.output in (None, "-"):
         raise ValueError("--trace writes FILE.trace.json next to the result; give --output FILE")
+    if args.warm_start and (args.starts is not None or args.seed is not None):
+        raise ValueError("--warm-start runs one trajectory per file; it takes no --starts or --seed")
     name, g = _load_instance(args.instance)
     config = _config_from_args(args, args.trace)
     warm = None

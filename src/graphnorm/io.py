@@ -13,7 +13,8 @@ Three text formats live here:
 
 * graph6 records: standard sparse-graph encoding, one per line,
   single size byte (n <= 62), upper-triangle bits column-major,
-  6 bits per payload byte offset by 63.
+  6 bits per payload byte offset by 63; graph6_code reads the payload
+  bits before padding as one integer, the enumeration's graph code.
 
 Solve results are JSON with a fixed key order and floats rendered to 12
 significant digits, so serialize -> parse -> serialize is byte-identical.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -238,6 +240,28 @@ def parse_warm_start(text: str, n: int) -> np.ndarray:
 # graph6
 
 
+@lru_cache(maxsize=None)
+def graph6_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows i and columns j of the pairs i < j in graph6 order: by j, then by i."""
+    j, i = np.tril_indices(n, -1)
+    return i, j
+
+
+def graph6_code(adj: np.ndarray) -> int:
+    """The graph6 payload bits before padding as one integer, first pair most significant."""
+    i, j = graph6_pairs(len(adj))
+    return int(b"0" + np.where(np.asarray(adj)[i, j], b"1", b"0").tobytes(), 2)
+
+
+def graph6_adjacency(n: int, code: int) -> np.ndarray:
+    """The symmetric 0/1 int8 adjacency matrix whose graph6_code is code."""
+    i, j = graph6_pairs(n)
+    bits = f"{code:0{len(i)}b}"[: len(i)]  # the slice drops the lone "0" when there is no pair
+    adj = np.zeros((n, n), dtype=np.int8)
+    adj[i, j] = adj[j, i] = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
+    return adj
+
+
 def parse_graph6(line: str) -> np.ndarray:
     """Decode a single graph6 record into a symmetric 0/1 adjacency matrix."""
     s = line.strip()
@@ -258,39 +282,19 @@ def parse_graph6(line: str) -> np.ndarray:
         raise FormatError(
             f"graph6 payload has {len(payload)} bytes, expected {expected} for n={n}"
         )
-    bits = []
-    for ch in payload:
-        val = ord(ch) - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    adj = np.zeros((n, n), dtype=np.int8)
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                adj[i, j] = adj[j, i] = 1
-            k += 1
-    return adj
+    bits = "".join(f"{ord(ch) - 63:06b}" for ch in payload)
+    return graph6_adjacency(n, int("0" + bits[:nbits], 2))
 
 
 def write_graph6(adj: np.ndarray) -> str:
     """Encode a symmetric 0/1 adjacency matrix as one graph6 record."""
-    adj = np.asarray(adj)
-    n = adj.shape[0]
+    n = len(adj)
     if n > 62:
         raise FormatError("graph6 writer supports n <= 62")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(int(adj[i, j]))
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    nbits = n * (n - 1) // 2
+    width = (nbits + 5) // 6 * 6  # the payload's bits, padded to whole characters
+    bits = f"{graph6_code(adj) << (width - nbits):0{width}b}"
+    return chr(n + 63) + "".join(chr(63 + int(bits[k : k + 6], 2)) for k in range(0, nbits, 6))
 
 
 # ---------------------------------------------------------------------------

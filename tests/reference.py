@@ -1,13 +1,16 @@
-"""Loop reference implementations of the vectorised graph layer and the solver.
+"""Loop reference implementations: graph layer, solver, small-graph codes.
 
-Deliberately plain: each function is the straightforward per-vertex or
-per-line loop the package's array code must agree with, bit for bit and
-message for message.  The differential tests in test_reference.py and
-test_solver_cli.py compare the two; nothing in the package imports this
-module.
+Deliberately plain: each function is the straightforward per-vertex,
+per-line or per-bit loop the package's array code must agree with, bit
+for bit and message for message.  The differential tests in
+test_reference.py and test_solver_cli.py compare the two; nothing in
+the package imports this module.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -226,3 +229,107 @@ def solve_instance(g, instance_name, config, warm_starts=None, reference_objecti
         "mode": "constant" if config.gamma0 == config.gamma1 else "linear",
     }
     return make_result(instance_name, g, records, schedule_info, reference_objective)
+
+
+# ---------------------------------------------------------------------------
+# Small-graph codes: row-major canonical forms, augmentation, graph6 bit loops
+
+
+def canonical_form(adj) -> int:
+    """Minimal row-major upper-triangle bitstring over all vertex permutations."""
+    adj = np.asarray(adj, dtype=np.int64)
+    n = adj.shape[0]
+    if n <= 1:
+        return 0
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    iu, ju = np.triu_indices(n, k=1)
+    permuted = adj[perms[:, :, None], perms[:, None, :]]
+    bits = permuted[:, iu, ju]
+    weights = 1 << np.arange(len(iu) - 1, -1, -1, dtype=np.int64)
+    return int((bits @ weights).min())
+
+
+def adjacency_from_canonical(n, code):
+    """The adjacency matrix of a row-major canonical code."""
+    adj = np.zeros((n, n), dtype=np.int8)
+    iu, ju = np.triu_indices(n, k=1)
+    nbits = len(iu)
+    for k in range(nbits):
+        if (code >> (nbits - 1 - k)) & 1:
+            adj[iu[k], ju[k]] = adj[ju[k], iu[k]] = 1
+    return adj
+
+
+@lru_cache(maxsize=None)
+def connected_codes(n):
+    """Row-major canonical codes of the connected graphs on n vertices, by augmentation."""
+    if n == 1:
+        return (0,)
+    seen = set()
+    for parent_code in connected_codes(n - 1):
+        parent = adjacency_from_canonical(n - 1, parent_code)
+        child = np.zeros((n, n), dtype=np.int8)
+        child[: n - 1, : n - 1] = parent
+        for hood in range(1, 1 << (n - 1)):
+            child[n - 1, : n - 1] = 0
+            child[: n - 1, n - 1] = 0
+            for j in range(n - 1):
+                if (hood >> j) & 1:
+                    child[n - 1, j] = child[j, n - 1] = 1
+            seen.add(canonical_form(child))
+    return tuple(sorted(seen))
+
+
+def parse_graph6(line):
+    """The graph6 reader, one character and one bit at a time."""
+    s = line.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise FormatError("empty graph6 record")
+    for ch in s:
+        if not 63 <= ord(ch) <= 126:
+            raise FormatError(f"character {ch!r} outside graph6 alphabet")
+    n = ord(s[0]) - 63
+    if n == 63:
+        raise FormatError("multi-byte graph6 sizes (n > 62) not supported")
+    payload = s[1:]
+    nbits = n * (n - 1) // 2
+    expected = (nbits + 5) // 6
+    if len(payload) != expected:
+        raise FormatError(
+            f"graph6 payload has {len(payload)} bytes, expected {expected} for n={n}"
+        )
+    bits = []
+    for ch in payload:
+        val = ord(ch) - 63
+        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+    adj = np.zeros((n, n), dtype=np.int8)
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                adj[i, j] = adj[j, i] = 1
+            k += 1
+    return adj
+
+
+def write_graph6(adj):
+    """The graph6 writer, one bit at a time."""
+    adj = np.asarray(adj)
+    n = adj.shape[0]
+    if n > 62:
+        raise FormatError("graph6 writer supports n <= 62")
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(int(adj[i, j]))
+    while len(bits) % 6:
+        bits.append(0)
+    out = [chr(n + 63)]
+    for k in range(0, len(bits), 6):
+        val = 0
+        for b in bits[k : k + 6]:
+            val = (val << 1) | b
+        out.append(chr(val + 63))
+    return "".join(out)

@@ -15,7 +15,7 @@ from graphnorm.io import write_graph6
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
-@pytest.mark.parametrize("n,count", list(CONNECTED_COUNTS.items())[:6])
+@pytest.mark.parametrize("n,count", list(CONNECTED_COUNTS.items()))
 def test_connected_counts_small(n, count):
     assert sum(1 for _ in connected_graphs_upto(n)) == count
 

@@ -90,6 +90,35 @@ def test_graph6_errors():
         parse_graph6("~??")  # multi-byte size
 
 
+def _edges_adjacency(n, edges):
+    adj = np.zeros((n, n), dtype=np.int8)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1
+    return adj
+
+
+PETERSEN = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+PETERSEN += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+
+
+@pytest.mark.parametrize(
+    "n,edges,record",
+    [
+        (3, [(0, 1), (1, 2)], "Bg"),  # P3
+        (4, [(u, v) for u in range(4) for v in range(u + 1, 4)], "C~"),  # K4
+        (5, [(i, (i + 1) % 5) for i in range(5)], "Dhc"),  # C5
+        (10, PETERSEN, "IheA@GUAo"),  # outer 5-cycle, spokes i-(i+5), inner pentagram
+        (7, [(0, v) for v in range(1, 7)], "FsaC?"),  # star K1,6 centred at 0
+    ],
+    ids=["P3", "K4", "C5", "Petersen", "K1,6"],
+)
+def test_graph6_external_records(n, edges, record):
+    # records as the standard graph6 writers (nauty, networkx) print them
+    adj = _edges_adjacency(n, edges)
+    assert write_graph6(adj) == record
+    np.testing.assert_array_equal(parse_graph6(record), adj)
+
+
 @given(st.integers(1, 9), st.integers(0, 2**20))
 def test_graph6_roundtrip(n, seed):
     rng = np.random.default_rng(seed)

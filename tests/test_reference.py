@@ -1,4 +1,4 @@
-"""Differential tests: the vectorised graph layer against the loop references."""
+"""Differential tests: the package's array code against the loop references."""
 
 from unittest import mock
 
@@ -17,7 +17,16 @@ from graphnorm import (
     is_maximal_independent,
     round_to_mis,
 )
-from graphnorm.io import FormatError, parse_instance, write_instance
+from graphnorm.enumeration import canonical_form, connected_graphs_upto
+from graphnorm.io import (
+    FormatError,
+    graph6_adjacency,
+    graph6_code,
+    parse_graph6,
+    parse_instance,
+    write_graph6,
+    write_instance,
+)
 
 
 @st.composite
@@ -159,3 +168,91 @@ def test_parse_instance_huge_vertex_count_is_quick():
     # the reference would list every missing id; the parser stops at the first
     with pytest.raises(FormatError, match="missing weight for vertex 2"):
         parse_instance("p mwis 1000000000000 0\nn 1 1\n")
+
+
+# ---------------------------------------------------------------------------
+# Small-graph codes
+
+
+@st.composite
+def small_graphs(draw, max_n=7, n=None):
+    """A 0/1 adjacency matrix on n vertices (drawn from 0..max_n if n is None)."""
+    n = draw(st.integers(0, max_n)) if n is None else n
+    m = n * (n - 1) // 2
+    bits = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    adj = np.zeros((n, n), dtype=np.int8)
+    i, j = np.triu_indices(n, k=1)
+    adj[i, j] = adj[j, i] = bits
+    return adj
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumeration_covers_reference_classes(n):
+    emitted = [reference.canonical_form(adj) for adj in connected_graphs_upto(n)]
+    assert sorted(emitted) == list(reference.connected_codes(n))
+
+
+@given(small_graphs(), st.data())
+def test_canonical_form_classes_match_reference(a, data):
+    n = len(a)
+    perm = data.draw(st.permutations(range(n)))
+    copy = a[np.ix_(perm, perm)]
+    near = copy.copy()
+    if n >= 2:
+        u, v = data.draw(st.sampled_from(list(zip(*np.triu_indices(n, k=1)))))
+        near[u, v] = near[v, u] = 1 - near[u, v]
+    other = data.draw(small_graphs(n=n))
+    assert canonical_form(copy) == canonical_form(a)
+    for b in (near, other):
+        same = reference.canonical_form(a) == reference.canonical_form(b)
+        assert (canonical_form(a) == canonical_form(b)) == same
+
+
+@given(small_graphs(max_n=12))
+def test_graph6_matches_reference(adj):
+    n = len(adj)
+    record = write_graph6(adj)
+    assert record == reference.write_graph6(adj)
+    parsed = parse_graph6(record)
+    assert parsed.dtype == np.int8
+    np.testing.assert_array_equal(parsed, reference.parse_graph6(record))
+    # the code is the payload bits before padding, first pair most significant
+    payload = "".join(f"{ord(ch) - 63:06b}" for ch in record[1:])
+    assert graph6_code(adj) == int("0" + payload[: n * (n - 1) // 2], 2)
+    np.testing.assert_array_equal(graph6_adjacency(n, graph6_code(adj)), adj)
+
+
+@st.composite
+def graph6_records(draw):
+    """graph6 records with bad characters, short or long payloads, or a '~' size byte."""
+    s = reference.write_graph6(draw(small_graphs(max_n=12)))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["char", "short", "long", "size", "header", "space"]))
+        k = draw(st.integers(0, len(s)))
+        if op == "char":
+            s = s[:k] + draw(st.sampled_from(["!", " ", ">", "\x7f", "\u00e9", "\x00"])) + s[k:]
+        elif op == "short":
+            s = s[:k] + s[k + 1 :]
+        elif op == "long":
+            s = s[:k] + draw(st.sampled_from(["?", "~", "A", "_"])) + s[k:]
+        elif op == "size":
+            s = "~" + s[1:]
+        elif op == "header":
+            s = ">>graph6<<" + s
+        else:
+            s = draw(st.sampled_from([" ", "\n", "\t"])) + s + "\n"
+    return s
+
+
+def _graph6_outcome(parse, record):
+    try:
+        return parse(record).tolist()
+    except FormatError as exc:
+        return str(exc)
+
+
+@given(graph6_records())
+def test_graph6_errors_match_reference(record):
+    assert _graph6_outcome(parse_graph6, record) == _graph6_outcome(
+        reference.parse_graph6, record
+    )

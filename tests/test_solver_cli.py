@@ -195,6 +195,17 @@ def test_cli_solve_warm_start(k2_file, tmp_path, capsys):
     assert '"start": "warm-0"' in out
 
 
+@pytest.mark.parametrize("flag", [["--starts", "4"], ["--seed", "0"]])
+def test_cli_solve_warm_start_rejects_starts_and_seed(tmp_path, capsys, flag):
+    # the instance is never read: the missing file would be a different error
+    warm = tmp_path / "warm.txt"
+    warm.write_text("1.0\n0.0\n")
+    code = main(["solve", str(tmp_path / "missing.mwis"), "--warm-start", str(warm)] + flag)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--warm-start" in err and flag[0] in err and "missing.mwis" not in err
+
+
 def test_cli_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.mwis"
     bad.write_text("p mwis 2 1\nn 1 4\ne 1 2\n")
