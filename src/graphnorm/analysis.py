@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -155,9 +156,10 @@ def _is_connected(adj: np.ndarray) -> bool:
 
 
 def _solve_exact(B: list[list[Fraction]], rhs: list[Fraction]):
-    """RREF of [B | rhs] over the rationals.
+    """RREF of the square system [B | rhs] over the rationals.
 
-    Returns (consistent, pivots, particular, kernel_basis).
+    Returns (consistent, particular, kernel_basis); the solution is unique
+    iff the system is consistent and the kernel basis is empty.
     """
     n = len(B)
     aug = [row[:] + [rhs[i]] for i, row in enumerate(B)]
@@ -192,57 +194,32 @@ def _solve_exact(B: list[list[Fraction]], rhs: list[Fraction]):
         for row, c in enumerate(pivots):
             vec[c] = -aug[row][f]
         kernel.append(vec)
-    return consistent, pivots, particular, kernel
-
-
-def _solve_square_exact(M, rhs):
-    """Solve a square rational system; None when singular."""
-    d = len(rhs)
-    aug = [list(M[i]) + [rhs[i]] for i in range(d)]
-    for c in range(d):
-        pivot = next((r for r in range(c, d) if aug[r][c] != 0), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [a / pv for a in aug[c]]
-        for r in range(d):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    return [aug[i][d] for i in range(d)]
+    return consistent, particular, kernel
 
 
 def _positive_point(particular, kernel):
     """Exact strictly positive solution of B x = 1, or None.
 
-    Solutions are x = x_p + N z; any nonnegative one lies in the unit cube,
-    so the feasible z form the polytope Q = {z : 0 <= x_p + N z <= 1}.  All
-    vertices of Q are enumerated exactly (active-set combinations; N has
-    full column rank, so Q is bounded).  Each coordinate x_i is affine and
-    nonnegative on Q, hence it vanishes at the vertex centroid iff it
-    vanishes on all of Q; the centroid therefore decides strict positivity
-    and doubles as the witness.
+    Solutions are x = x_p + N z, and the nonnegative ones form the polytope
+    Q = {z : x_p + N z >= 0}.  Q is bounded: B = A + I has nonnegative
+    entries and a unit diagonal, so x >= 0 gives x_i <= (Bx)_i = 1, and N
+    has full column rank.  All vertices of Q are enumerated exactly, each
+    the unique solution of d of its n rows held tight.  Each coordinate x_i
+    is affine and nonnegative on Q, hence it vanishes at the vertex
+    centroid iff it vanishes on all of Q; the centroid therefore decides
+    strict positivity and doubles as the witness.  With an empty kernel Q
+    is one point and the witness is x_p itself.
     """
-    from itertools import combinations
-
     d = len(kernel)
     n = len(particular)
-    rows = []  # constraints a . z <= b
-    for i in range(n):
-        a = [kernel[k][i] for k in range(d)]
-        rows.append(([-ak for ak in a], particular[i]))  # x_i >= 0
-        rows.append((a, 1 - particular[i]))  # x_i <= 1
+    # x_i >= 0 as a . z <= b with a = -N_i, b = x_p,i
+    rows = [([-kernel[k][i] for k in range(d)], particular[i]) for i in range(n)]
     vertices = set()
-    for combo in combinations(range(len(rows)), d):
-        z = _solve_square_exact(
-            [rows[j][0] for j in combo], [rows[j][1] for j in combo]
-        )
-        if z is None:
+    for combo in combinations(rows, d):
+        consistent, z, null = _solve_exact([a for a, _ in combo], [b for _, b in combo])
+        if not consistent or null:
             continue
-        if all(
-            sum(ak * zk for ak, zk in zip(a, z)) <= b for a, b in rows
-        ):
+        if all(sum(ak * zk for ak, zk in zip(a, z)) <= b for a, b in rows):
             vertices.add(tuple(z))
     if not vertices:
         return None
@@ -261,12 +238,11 @@ def _positive_point(particular, kernel):
 def atom_spectrum(adjacency) -> SpectrumClassification:
     """Classify the full-support fixed points of the unweighted map.
 
-    Solves (A + I) x = 1, x > 0 with exact rational arithmetic.  A
-    nonsingular system is discrete iff its unique solution is strictly
-    positive; a singular consistent system is continuous iff the affine
-    solution set meets the positive orthant, decided exactly by vertex
-    enumeration of the boxed solution polytope.  Raises on disconnected
-    input.
+    Solves (A + I) x = 1, x > 0 with exact rational arithmetic.  The
+    solution set meets the positive orthant iff the centroid of the
+    vertices of its nonnegative part is strictly positive (a single point
+    when the system is nonsingular); the kind is discrete for a unique
+    solution and continuous otherwise.  Raises on disconnected input.
     """
     adj = np.asarray(adjacency)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
@@ -287,27 +263,15 @@ def atom_spectrum(adjacency) -> SpectrumClassification:
         for i in range(n)
     ]
     rhs = [Fraction(1)] * n
-    consistent, pivots, particular, kernel = _solve_exact(B, rhs)
-
-    if not consistent:
+    consistent, particular, kernel = _solve_exact(B, rhs)
+    witness = _positive_point(particular, kernel) if consistent else None
+    if witness is None:
         return SpectrumClassification(SpectrumKind.EMPTY, None, 0, regular)
-
-    if not kernel:
-        if all(c > 0 for c in particular):
-            return SpectrumClassification(
-                SpectrumKind.DISCRETE, tuple(particular), 0, regular
-            )
-        return SpectrumClassification(SpectrumKind.EMPTY, None, 0, regular)
-
-    witness = _positive_point(particular, kernel)
-    if witness is not None:
-        if regular:
-            # the uniform vector always normalizes a regular graph
-            witness = [Fraction(1, int(degs[0]) + 1)] * n
-        return SpectrumClassification(
-            SpectrumKind.CONTINUOUS, tuple(witness), len(kernel), regular
-        )
-    return SpectrumClassification(SpectrumKind.EMPTY, None, 0, regular)
+    if regular:
+        # the uniform vector always normalizes a regular graph
+        witness = [Fraction(1, int(degs[0]) + 1)] * n
+    kind = SpectrumKind.CONTINUOUS if kernel else SpectrumKind.DISCRETE
+    return SpectrumClassification(kind, tuple(witness), len(kernel), regular)
 
 
 # ---------------------------------------------------------------------------

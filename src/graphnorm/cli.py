@@ -140,7 +140,9 @@ def cmd_atoms(args) -> int:
             text += f"\nskipped {skipped} disconnected record(s)"
         _emit(text + "\n", args.output)
         return EXIT_OK
-    rows = [census(k) for k in range(1, args.n + 1)] if args.cumulative else [census(args.n)]
+    rows = [census(args.n)]  # rejects n outside 1..7 before any other row is built
+    if args.cumulative:
+        rows[:0] = [census(k) for k in range(1, args.n)]
     _emit(format_census_table(rows) + "\n", args.output)
     return EXIT_OK
 

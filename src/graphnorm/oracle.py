@@ -186,17 +186,12 @@ def _tangent_probes(
         tilt = D @ sw
         D[:, members] -= np.outer(tilt, sw[members]) / W
 
-    probes = []
-    for i in outside:
-        d = np.zeros(n)
-        d[i] = 1.0
-        d[members] = -sw[members] * (sw[i] / W)
-        probes.append(d)
-    for _ in range(count):
-        d = rng.standard_normal(n)
-        d[outside] = np.abs(d[outside])
-        probes.append(d)
-    D = np.array(probes) if probes else np.zeros((0, n))
+    k = len(outside)
+    D = np.zeros((k + count, n))
+    D[np.arange(k), outside] = 1.0
+    D[:k, members] = np.outer(sw[outside] / W, -sw[members])
+    D[k:] = rng.standard_normal((count, n))
+    D[k:, outside] = np.abs(D[k:, outside])
     retilt(D)
     norms = np.linalg.norm(D, axis=1)
     D = D[norms > 1e-9]  # drop draws with no tangent component left
@@ -219,6 +214,8 @@ def correspondence_check(
         raise ValueError(f"correspondence check supports n <= {CORRESPONDENCE_LIMIT}")
     if gamma <= 1.0:
         raise ValueError("correspondence check requires gamma > 1")
+    if perturbations < 0:
+        raise ValueError("perturbations must be nonnegative")
     rng = np.random.default_rng(seed)
     B = gamma * g.adjacency().toarray()
     np.fill_diagonal(B, 1.0)

@@ -1,4 +1,4 @@
-"""Loop reference implementations: graph layer, solver, small-graph codes.
+"""Loop reference implementations: graph layer, solver, small-graph codes, exact layer.
 
 Deliberately plain: each function is the straightforward per-vertex,
 per-line or per-bit loop the package's array code must agree with, bit
@@ -9,14 +9,17 @@ the package imports this module.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
+from graphnorm.analysis import SpectrumClassification, SpectrumKind, _solve_exact
 from graphnorm.dynamics import init_random, init_warm, run_wrgn
 from graphnorm.graph import GraphError, MisSolution, WeightedGraph
 from graphnorm.io import FormatError, StartRecord, make_result
+from graphnorm.oracle import PROBE_MAGNITUDE
 
 
 def csr_lists(n, edges):
@@ -333,3 +336,115 @@ def write_graph6(adj):
             val = (val << 1) | b
         out.append(chr(val + 63))
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# Exact layer: the boxed polytope, a square solver, a per-probe loop
+
+
+def solve_square(M, rhs):
+    """Solve a square rational system; None when singular."""
+    d = len(rhs)
+    aug = [list(M[i]) + [rhs[i]] for i in range(d)]
+    for c in range(d):
+        pivot = next((r for r in range(c, d) if aug[r][c] != 0), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        pv = aug[c][c]
+        aug[c] = [a / pv for a in aug[c]]
+        for r in range(d):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+    return [aug[i][d] for i in range(d)]
+
+
+def positive_point(particular, kernel):
+    """Centroid of the vertices of {z : 0 <= x_p + N z <= 1}, if strictly positive."""
+    d = len(kernel)
+    n = len(particular)
+    rows = []  # constraints a . z <= b
+    for i in range(n):
+        a = [kernel[k][i] for k in range(d)]
+        rows.append(([-ak for ak in a], particular[i]))  # x_i >= 0
+        rows.append((a, 1 - particular[i]))  # x_i <= 1
+    vertices = set()
+    for combo in combinations(range(len(rows)), d):
+        z = solve_square([rows[j][0] for j in combo], [rows[j][1] for j in combo])
+        if z is None:
+            continue
+        if all(sum(ak * zk for ak, zk in zip(a, z)) <= b for a, b in rows):
+            vertices.add(tuple(z))
+    if not vertices:
+        return None
+    center = [sum(v[k] for v in vertices) / len(vertices) for k in range(d)]
+    x = [
+        particular[i] + sum(kernel[k][i] * center[k] for k in range(d))
+        for i in range(n)
+    ]
+    if all(xi > 0 for xi in x):
+        return x
+    return None
+
+
+def atom_spectrum(adj) -> SpectrumClassification:
+    """Classification of a connected graph: empty, unique solution, or the polytope."""
+    adj = np.asarray(adj)
+    n = adj.shape[0]
+    degs = adj.sum(axis=1)
+    regular = bool(np.all(degs == degs[0]))
+    B = [
+        [Fraction(int(adj[i, j]) + (1 if i == j else 0)) for j in range(n)]
+        for i in range(n)
+    ]
+    consistent, particular, kernel = _solve_exact(B, [Fraction(1)] * n)
+    if not consistent:
+        return SpectrumClassification(SpectrumKind.EMPTY, None, 0, regular)
+    if not kernel:
+        if all(c > 0 for c in particular):
+            return SpectrumClassification(
+                SpectrumKind.DISCRETE, tuple(particular), 0, regular
+            )
+        return SpectrumClassification(SpectrumKind.EMPTY, None, 0, regular)
+    witness = positive_point(particular, kernel)
+    if witness is not None:
+        if regular:
+            witness = [Fraction(1, int(degs[0]) + 1)] * n
+        return SpectrumClassification(
+            SpectrumKind.CONTINUOUS, tuple(witness), len(kernel), regular
+        )
+    return SpectrumClassification(SpectrumKind.EMPTY, None, 0, regular)
+
+
+def tangent_probes(g, members, count, rng):
+    """One row per outside vertex, then one standard_normal(n) draw per random probe."""
+    n = g.n
+    inside = np.zeros(n, dtype=bool)
+    inside[members] = True
+    outside = np.flatnonzero(~inside)
+    sw = g.v
+    W = float(g.w[members].sum())
+
+    def retilt(D):
+        tilt = D @ sw
+        D[:, members] -= np.outer(tilt, sw[members]) / W
+
+    probes = []
+    for i in outside:
+        d = np.zeros(n)
+        d[i] = 1.0
+        d[members] = -sw[members] * (sw[i] / W)
+        probes.append(d)
+    for _ in range(count):
+        d = rng.standard_normal(n)
+        d[outside] = np.abs(d[outside])
+        probes.append(d)
+    D = np.array(probes) if probes else np.zeros((0, n))
+    retilt(D)
+    norms = np.linalg.norm(D, axis=1)
+    D = D[norms > 1e-9]
+    norms = norms[norms > 1e-9]
+    D *= (PROBE_MAGNITUDE / norms)[:, None]
+    retilt(D)
+    return D

@@ -15,6 +15,7 @@ from graphnorm import (
 )
 from graphnorm.analysis import (
     SpectrumKind,
+    _positive_point,
     atom_spectrum,
     fixed_point_residual,
     jacobian_spectral_radius,
@@ -22,6 +23,7 @@ from graphnorm.analysis import (
     mis_stability,
     tilted_simplex_q,
 )
+from graphnorm.io import parse_graph6
 from graphnorm.oracle import brute_force_mwis, enumerate_mises
 
 
@@ -177,10 +179,25 @@ def test_regular_graphs_are_atomic_with_uniform_witness():
         cases.append((a, 2))
     kn = np.ones((5, 5), dtype=int) - np.eye(5, dtype=int)
     cases.append((kn, 4))
+    # a cubic graph whose solution polytope has a non-uniform vertex centroid
+    cases.append((parse_graph6("GaKkn?"), 3))
     for a, d in cases:
         s = atom_spectrum(a)
         assert s.kind is not SpectrumKind.EMPTY
         assert s.witness == (Fraction(1, d + 1),) * a.shape[0]
+
+
+def test_positive_point_is_the_vertex_centroid():
+    # x = (z1, z1, 1 + z2, 1 - z1 - z2): a triangle with vertices (0, -1),
+    # (0, 1), (2, -1); the duplicated row x_1 = x_2 makes singular candidates
+    F = Fraction
+    particular = [F(0), F(0), F(1), F(1)]
+    kernel = [[F(1), F(1), F(0), F(-1)], [F(0), F(0), F(1), F(-1)]]
+    assert _positive_point(particular, kernel) == [F(2, 3)] * 4
+    # an empty kernel leaves one point, kept only when strictly positive
+    assert _positive_point([F(1, 2), F(1, 3)], []) == [F(1, 2), F(1, 3)]
+    assert _positive_point([F(1, 2), F(0)], []) is None
+    assert _positive_point([F(1, 2), F(-1)], []) is None
 
 
 def test_atom_witness_solves_equation_exactly():

@@ -3,6 +3,7 @@ import pytest
 
 from graphnorm.enumeration import (
     CensusRow,
+    _connected_codes,
     canonical_form,
     census,
     census_from_stream,
@@ -25,6 +26,18 @@ def test_out_of_range():
         list(connected_graphs_upto(0))
     with pytest.raises(ValueError):
         list(connected_graphs_upto(8))
+
+
+def test_connected_codes_match_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = {n: set() for n in range(1, 8)}
+    for graph in nx.graph_atlas_g():
+        n = graph.number_of_nodes()
+        if n >= 1 and nx.is_connected(graph):
+            adj = nx.to_numpy_array(graph, nodelist=range(n), dtype=np.int8)
+            atlas[n].add(canonical_form(adj))
+    for n, codes in atlas.items():
+        assert codes == set(_connected_codes(n))
 
 
 def test_no_two_emitted_graphs_isomorphic():

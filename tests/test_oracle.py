@@ -94,6 +94,20 @@ def test_correspondence_k1():
     assert rec.local_min_verified
 
 
+def test_correspondence_rejects_negative_perturbations(p3_uniform):
+    with pytest.raises(ValueError, match="perturbations must be nonnegative"):
+        correspondence_check(p3_uniform, 1.5, -5)
+
+
+def test_correspondence_without_random_probes(k2_heavy):
+    # the one deterministic probe per outside vertex still decides each MIS
+    report = correspondence_check(k2_heavy, 1.5, perturbations=0)
+    by_members = {r.solution.members: r for r in report.mis_list}
+    assert by_members[(0,)].local_min_verified
+    assert not by_members[(1,)].local_min_verified
+    assert not report.violations
+
+
 def test_correspondence_p3_uniform(p3_uniform):
     report = correspondence_check(p3_uniform, 1.5, perturbations=300)
     by_members = {r.solution.members: r for r in report.mis_list}

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import graphnorm.io
 import reference
@@ -17,6 +17,7 @@ from graphnorm import (
     is_maximal_independent,
     round_to_mis,
 )
+from graphnorm.analysis import _is_connected, atom_spectrum
 from graphnorm.enumeration import canonical_form, connected_graphs_upto
 from graphnorm.io import (
     FormatError,
@@ -27,6 +28,7 @@ from graphnorm.io import (
     write_graph6,
     write_instance,
 )
+from graphnorm.oracle import _tangent_probes, enumerate_mises
 
 
 @st.composite
@@ -256,3 +258,95 @@ def test_graph6_errors_match_reference(record):
     assert _graph6_outcome(parse_graph6, record) == _graph6_outcome(
         reference.parse_graph6, record
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact layer
+
+
+def _spectrum_matches_reference(adj):
+    got, want = atom_spectrum(adj), reference.atom_spectrum(adj)
+    assert (got.kind, got.witness, got.nullity, got.regular) == (
+        want.kind,
+        want.witness,
+        want.nullity,
+        want.regular,
+    )
+
+
+def test_atom_spectrum_matches_reference_all_small():
+    for n in range(1, 7):
+        for adj in connected_graphs_upto(n):
+            _spectrum_matches_reference(adj)
+
+
+def _tree_plus_edges(draw, n):
+    """A random tree on n vertices plus up to n extra edges."""
+    adj = np.zeros((n, n), dtype=np.int8)
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        adj[u, v] = adj[v, u] = 1
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(pairs, max_size=n)):
+        if u != v:
+            adj[u, v] = adj[v, u] = 1
+    return adj
+
+
+@st.composite
+def connected_graphs(draw, max_n=9):
+    """Connected adjacencies: sparse, circulant (regular), or blown up into twin classes.
+
+    The reference enumerates C(2n, d) vertex candidates, so draws with
+    nullity d above 5 are left to the exhaustive test on n <= 6.
+    """
+    family = draw(st.sampled_from(["sparse", "circulant", "blowup"]))
+    if family == "sparse":
+        adj = _tree_plus_edges(draw, draw(st.integers(1, max_n)))
+    elif family == "circulant":
+        n = draw(st.integers(3, max_n))
+        adj = np.zeros((n, n), dtype=np.int8)
+        for k in draw(st.sets(st.integers(1, n // 2), min_size=1)):
+            for v in range(n):
+                adj[v, (v + k) % n] = adj[(v + k) % n, v] = 1
+    else:
+        # each vertex of a small graph becomes a clique or an independent set
+        sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+        assume(sum(sizes) <= max_n)
+        quotient = _tree_plus_edges(draw, len(sizes))
+        part = np.repeat(np.arange(len(sizes)), sizes)
+        adj = quotient[np.ix_(part, part)]
+        for k in range(len(sizes)):
+            if draw(st.booleans()):
+                adj[np.ix_(part == k, part == k)] = 1
+        np.fill_diagonal(adj, 0)
+    n = len(adj)
+    assume(_is_connected(adj) and n - np.linalg.matrix_rank(adj + np.eye(n)) <= 5)
+    perm = draw(st.permutations(range(n)))
+    return adj[np.ix_(perm, perm)]
+
+
+@given(connected_graphs())
+def test_atom_spectrum_matches_reference_random(adj):
+    _spectrum_matches_reference(adj)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 40])
+@pytest.mark.parametrize("edgeless", [False, True])
+def test_tangent_probes_match_reference(count, edgeless):
+    g = build_graph(6, [], np.arange(1.0, 7.0)) if edgeless else erdos_renyi(9, 0.35, count)
+    for seed, sol in enumerate(enumerate_mises(g)):
+        members = np.asarray(sol.members, dtype=np.int64)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        D = _tangent_probes(g, members, count, rng)
+        assert np.array_equal(D, reference.tangent_probes(g, members, count, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(tie_heavy_graphs(), st.integers(0, 30), st.integers(0, 2**16), st.data())
+def test_tangent_probes_match_reference_random(g, count, seed, data):
+    sol = data.draw(st.sampled_from(enumerate_mises(g)))
+    members = np.asarray(sol.members, dtype=np.int64)
+    D = _tangent_probes(g, members, count, np.random.default_rng(seed))
+    want = reference.tangent_probes(g, members, count, np.random.default_rng(seed))
+    assert np.array_equal(D, want)

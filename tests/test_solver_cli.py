@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -243,6 +244,16 @@ def test_cli_atoms_builtin(capsys):
     assert "21" in out and "4" in out
 
 
+@pytest.mark.parametrize("n", ["0", "8"])
+def test_cli_atoms_cumulative_rejects_order(n, capsys):
+    with mock.patch("graphnorm.enumeration.atom_spectrum") as spectrum:
+        assert main(["atoms", "--n", n, "--cumulative"]) == 2
+    assert not spectrum.called  # rejected before any row is built
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "built-in enumeration supports 1 <= n <= 7" in captured.err
+
+
 def test_cli_atoms_graph6(tmp_path, capsys):
     from graphnorm.enumeration import connected_graphs_upto
     from graphnorm.io import write_graph6
@@ -267,6 +278,11 @@ def test_cli_oracle(k2_file, capsys):
     out = capsys.readouterr().out
     assert "optimum: [0] weight 4" in out
     assert "correspondence violations: 0" in out
+
+
+def test_cli_oracle_rejects_negative_perturbations(k2_file, capsys):
+    assert main(["oracle", str(k2_file), "--perturbations", "-1"]) == 2
+    assert "perturbations must be nonnegative" in capsys.readouterr().err
 
 
 def test_cli_bench(tmp_path, capsys):
