@@ -35,14 +35,14 @@ def mis_stability(g: WeightedGraph, m: MisSolution, gamma: float) -> float:
         raise ValueError("solution is not a maximal independent set")
     mask = np.zeros(g.n, dtype=bool)
     mask[members] = True
-    best = math.inf
-    for i in range(g.n):
-        if mask[i]:
-            continue
-        nb = g.neighbors(i)
-        s = float(np.sum(np.sqrt(g.w[nb[mask[nb]]] / g.w[i])))
-        best = min(best, s)
-    return gamma * best if best < math.inf else math.inf
+    # one pass over the CSR entries (i, j) with i outside and j a member;
+    # bincount adds each row's terms in neighbour order
+    rows = np.repeat(np.arange(g.n), g.degrees())
+    keep = ~mask[rows] & mask[g.indices]
+    i, j = rows[keep], g.indices[keep]
+    sums = np.bincount(i, weights=np.sqrt(g.w[j] / g.w[i]), minlength=g.n)
+    outside = sums[~mask]
+    return gamma * float(outside.min()) if outside.size else math.inf
 
 
 def fixed_point_residual(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:

@@ -8,7 +8,8 @@ Subcommands:
     bench   directory sweep with gap table against reference objectives
 
 Exit codes: 0 success, 1 invalid solution produced, 2 input error,
-3 internal numerical anomaly (safe-division fallback fired).
+3 numerical anomaly (a closed-neighbourhood sum was exactly 0, so a step
+set that entry to the fallback value).
 """
 
 from __future__ import annotations

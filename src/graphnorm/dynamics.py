@@ -16,11 +16,8 @@ import numpy as np
 
 from .graph import MisSolution, WeightedGraph
 
-# Denominators at or below this threshold trigger the documented 0.5
-# fallback instead of a division.  The threshold is absolute, so the
-# fallback also fires on valid runs once states decay toward zero (and at
-# small weight scales); ROADMAP item 2 tracks the scale-free fix.
-SAFE_DIV_THRESHOLD = 1e-9
+# Value taken where a closed-neighbourhood sum is exactly 0, outside the
+# map's domain; from a normalizable start only underflow gets there.
 FALLBACK_VALUE = 0.5
 
 CLAMP_FLOOR = 1e-3
@@ -107,7 +104,7 @@ def _step(g: WeightedGraph, x: np.ndarray, gamma: float) -> tuple[np.ndarray, in
     """One normalization step; returns (new state, fallback count)."""
     y = g.v * x
     d = y + gamma * (g.adjacency() @ y)
-    ok = d > SAFE_DIV_THRESHOLD
+    ok = d > 0.0
     out = np.where(ok, y / np.where(ok, d, 1.0), FALLBACK_VALUE)
     return out, int(g.n - np.count_nonzero(ok))
 
@@ -116,7 +113,7 @@ def gn_step(g: WeightedGraph, x: np.ndarray, gamma: float) -> np.ndarray:
     """Apply the weighted regularized normalization map once.
 
     x'_i = x_i / (x_i + gamma * sum_{j ~ i} (v_j / v_i) x_j).  Entries whose
-    denominator is at or below the safe-division threshold are set to the
+    denominator is exactly 0, outside the map's domain, are set to the
     fallback value 0.5 instead of raising.
     """
     out, _ = _step(g, np.asarray(x, dtype=np.float64), float(gamma))
@@ -140,11 +137,13 @@ def run_wrgn(
     """Iterate the map under a gamma schedule.
 
     Raises NormalizationError if x0 is not normalizable or a non-finite
-    state appears mid-run.  When early_exit is set, stops once gamma has
-    reached its final value and the step infinity-norm falls below 1e-12;
-    otherwise runs the full budget.  Final entries are clamped to [0, 1].
-    The returned trace carries the energy/mass series only when
-    record_trace is set; step norms and fallback counts are always kept.
+    state appears mid-run.  A step that leaves the domain by underflow
+    falls back as gn_step does, and the trace counts it.  When early_exit
+    is set, stops once gamma has reached its final value and the step
+    infinity-norm falls below 1e-12; otherwise runs the full budget.
+    Final entries are clamped to [0, 1].  The returned trace carries the
+    energy/mass series only when record_trace is set; step norms and
+    fallback counts are always kept.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     if np.any(x < 0.0):
@@ -243,7 +242,8 @@ def fitness(
     """Replicator fitness of a simplex state and its population average.
 
     f_i = v_i / ((I + gamma A)(p / v))_i.  The average satisfies
-    fbar(p^k) = weighted mass of the next iterate.
+    fbar(p^k) = weighted mass of the next iterate.  Raises where a
+    denominator is not positive, outside the map's domain.
     """
     p = np.asarray(p, dtype=np.float64)
     q = p / g.v

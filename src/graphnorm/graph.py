@@ -73,11 +73,6 @@ class WeightedGraph:
         u, v = self.edge_arrays()
         return zip(u.tolist(), v.tolist())
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        j = np.searchsorted(nb, v)
-        return j < len(nb) and nb[j] == v
-
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.num_edges})"
 

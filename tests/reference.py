@@ -1,4 +1,4 @@
-"""Loop reference implementations: graph layer, solver, small-graph codes, exact layer.
+"""Loop reference implementations: graph layer, solver, small-graph codes, exact layer, stability.
 
 Deliberately plain: each function is the straightforward per-vertex,
 per-line or per-bit loop the package's array code must agree with, bit
@@ -9,6 +9,7 @@ the package imports this module.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -448,3 +449,22 @@ def tangent_probes(g, members, count, rng):
     D *= (PROBE_MAGNITUDE / norms)[:, None]
     retilt(D)
     return D
+
+
+def mis_stability(g, m, gamma) -> float:
+    """gamma times the min over outside vertices of an np.sum over its member neighbours."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    members = np.asarray(m.members, dtype=np.int64)
+    if not is_maximal_independent(g, members):
+        raise ValueError("solution is not a maximal independent set")
+    mask = np.zeros(g.n, dtype=bool)
+    mask[members] = True
+    best = math.inf
+    for i in range(g.n):
+        if mask[i]:
+            continue
+        nb = g.neighbors(i)
+        s = float(np.sum(np.sqrt(g.w[nb[mask[nb]]] / g.w[i])))
+        best = min(best, s)
+    return gamma * best if best < math.inf else math.inf

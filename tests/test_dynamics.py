@@ -20,7 +20,7 @@ from graphnorm import (
     simplex_state,
     weighted_mass,
 )
-from graphnorm.dynamics import FALLBACK_VALUE
+from graphnorm.dynamics import FALLBACK_VALUE, _step
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +39,21 @@ def test_step_k2_weighted(k2_heavy):
     np.testing.assert_allclose(gn_step(k2_heavy, [1, 1], 1.0), [2 / 3, 1 / 3])
 
 
-def test_step_fallback_fires_on_tiny_denominator():
+@pytest.mark.parametrize("x", [1e-12, 1e-310])
+def test_step_divides_tiny_denominator(x):
+    # any positive closed-neighbourhood sum, subnormal too, is inside the
+    # map's domain
     lone = build_graph(1, [], [1.0])
-    out = gn_step(lone, [1e-12], 1.0)
-    assert out[0] == FALLBACK_VALUE
+    out, fallbacks = _step(lone, np.array([x]), 1.0)
+    assert out[0] == 1.0 and fallbacks == 0
+
+
+@pytest.mark.parametrize("x, w", [(0.0, 1.0), (5e-324, 0.01)])
+def test_step_fallback_fires_on_zero_denominator(x, w):
+    # at x = 5e-324 the weighted state v*x underflows to 0
+    lone = build_graph(1, [], [w])
+    out, fallbacks = _step(lone, np.array([x]), 1.0)
+    assert out[0] == FALLBACK_VALUE and fallbacks == 1
 
 
 @st.composite
@@ -85,6 +96,25 @@ def test_step_scale_invariance(gx, gamma, alpha):
     a = gn_step(g, x, gamma)
     b = gn_step(g, alpha * x, gamma)
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+@given(
+    graph_and_state(zero_ok=False),
+    st.data(),
+    st.floats(0.01, 3.0),
+    st.integers(-40, 40),
+)
+def test_step_weight_scale_is_exact(gx, data, gamma, k):
+    # 4^k scales v = sqrt(w) by exactly 2^k, and so every y and d of the
+    # step; with x in {0} u [0.01, 1] no v*x is subnormal at these scales
+    g, x = gx
+    zero = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    x = np.where(zero, 0.0, x)
+    scaled = build_graph(g.n, np.column_stack(g.edge_arrays()), g.w * 4.0**k)
+    out, fallbacks = _step(g, x, gamma)
+    out_scaled, fallbacks_scaled = _step(scaled, x, gamma)
+    np.testing.assert_array_equal(out_scaled, out)
+    assert fallbacks_scaled == fallbacks
 
 
 def test_component_independence():
@@ -184,6 +214,29 @@ def test_run_wrgn_rejects_non_normalizable(p3_uniform):
         run_wrgn(p3_uniform, np.zeros(3), GammaSchedule.constant(1.0, 5))
     with pytest.raises(NormalizationError):
         run_wrgn(p3_uniform, np.array([0.5, -0.1, 0.5]), GammaSchedule.constant(1.0, 5))
+
+
+def test_run_wrgn_tiny_weights_follow_the_map(p3_weighted):
+    # weights (1, 3, 1) x 1e-20 put every closed-neighbourhood sum near
+    # 1e-10 from the first step on; the map sees only weight ratios
+    g = build_graph(3, [(0, 1), (1, 2)], p3_weighted.w * 1e-20)
+    x, trace = run_wrgn(g, init_random(3, 0), GammaSchedule.pursuit())
+    assert trace.total_fallbacks == 0
+    assert round_to_mis(g, x).members == (1,)
+
+
+@pytest.mark.parametrize("scale", [3e-20, 1e-6, 3e20])
+def test_weight_scale_keeps_rounded_members(scale):
+    schedule = GammaSchedule.pursuit()
+    sizes = np.random.default_rng(606).integers(16, 33, size=20)
+    for k, n in enumerate(sizes.tolist()):
+        g = erdos_renyi(n, 0.3, [606, k])
+        x0 = init_random(n, k)
+        x, _ = run_wrgn(g, x0, schedule)
+        scaled = build_graph(g.n, np.column_stack(g.edge_arrays()), g.w * scale)
+        x_scaled, trace = run_wrgn(scaled, x0, schedule)
+        assert trace.total_fallbacks == 0
+        assert round_to_mis(scaled, x_scaled).members == round_to_mis(g, x).members
 
 
 def test_run_wrgn_early_exit():

@@ -17,7 +17,7 @@ from graphnorm import (
     is_maximal_independent,
     round_to_mis,
 )
-from graphnorm.analysis import _is_connected, atom_spectrum
+from graphnorm.analysis import _is_connected, atom_spectrum, mis_stability
 from graphnorm.enumeration import canonical_form, connected_graphs_upto
 from graphnorm.io import (
     FormatError,
@@ -350,3 +350,49 @@ def test_tangent_probes_match_reference_random(g, count, seed, data):
     D = _tangent_probes(g, members, count, np.random.default_rng(seed))
     want = reference.tangent_probes(g, members, count, np.random.default_rng(seed))
     assert np.array_equal(D, want)
+
+
+def _stability_matches_reference(g, sol, gamma):
+    """Equal when no outside vertex has more than 7 member neighbours, else within the sums' error.
+
+    np.sum adds up to 7 terms in order but splits 8 or more into pairwise
+    blocks, while bincount always adds in order.  Either sum of k positive
+    terms is within (k - 1) eps/2 of the exact sum, relative, so the two
+    differ by at most (k - 1) eps; the product with gamma may add one
+    more eps.
+    """
+    got, want = mis_stability(g, sol, gamma), reference.mis_stability(g, sol, gamma)
+    mask = np.zeros(g.n, dtype=bool)
+    mask[list(sol.members)] = True
+    k = int((g.adjacency() @ mask)[~mask].max(initial=0))
+    if k <= 7:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=k * np.finfo(float).eps, abs=0)
+
+
+@given(edge_lists(), st.floats(0.01, 3.0), st.data())
+def test_mis_stability_matches_reference(parts, gamma, data):
+    n, edges = parts
+    w = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    g = build_graph(n, edges, w)
+    _stability_matches_reference(g, data.draw(st.sampled_from(enumerate_mises(g))), gamma)
+
+
+@pytest.mark.parametrize("leaves", [7, 8, 30, 200])
+def test_mis_stability_matches_reference_many_member_neighbours(leaves):
+    # a double star: two hubs outside, joined to every leaf of the MIS
+    edges = [(h, j) for h in (0, 1) for j in range(2, leaves + 2)]
+    w = np.random.default_rng(leaves).uniform(0.1, 10.0, leaves + 2)
+    g = build_graph(leaves + 2, edges, w)
+    _stability_matches_reference(g, MisSolution.from_members(g, range(2, leaves + 2)), 1.3)
+
+
+def test_mis_stability_errors_match_reference(p3_uniform):
+    for members, gamma in (([1], 0.0), ([0], 1.5), ([0, 1], 1.5)):
+        sol = MisSolution.from_members(p3_uniform, members)
+        with pytest.raises(ValueError) as got:
+            mis_stability(p3_uniform, sol, gamma)
+        with pytest.raises(ValueError) as want:
+            reference.mis_stability(p3_uniform, sol, gamma)
+        assert str(got.value) == str(want.value)

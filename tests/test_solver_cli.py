@@ -45,6 +45,20 @@ def test_solve_warm_start_at_optimum(k2_heavy):
     assert result.starts[0].objective == 4.0
 
 
+def test_solve_small_er_seed_25_never_falls_back():
+    # the first instance of the small-er benchmark workload at seed 25:
+    # its states decay until some closed-neighbourhood sums fall below
+    # 1e-9, still inside the map's domain
+    rng = np.random.default_rng(25)
+    n = int(rng.integers(16, 33))
+    iu, ju = np.triu_indices(n, k=1)
+    pick = rng.random(iu.size) < 0.3
+    g = build_graph(n, np.column_stack((iu[pick], ju[pick])), rng.uniform(0.1, 10.0, size=n))
+    result, stats = solve_instance(g, "er-000", RunConfig())
+    assert stats.fallback_events == 0
+    assert all(s.valid and s.maximal for s in result.starts)
+
+
 def _stable_view(result_text: str) -> str:
     """Result JSON with the wall-clock measurements blanked."""
     obj = json.loads(result_text)
