@@ -49,8 +49,8 @@ class GammaSchedule:
             raise ValueError("iterations must be positive")
         if mode == "linear" and self.iterations < 2:
             raise ValueError("linear mode needs at least 2 iterations")
-        if self.gamma0 < 0 or self.gamma1 < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not (self.gamma0 > 0 and self.gamma1 > 0):
+            raise ValueError("gamma must be positive")
 
     @classmethod
     def constant(cls, gamma: float, iterations: int) -> "GammaSchedule":

@@ -9,6 +9,9 @@ Three text formats live here:
       n <vertex-id> <weight>     (one line per vertex, ids 1-based)
       e <u> <v>                  (one line per edge, ids 1-based)
 
+  parse_instance reads the text in bulk, as token arrays; text that fails
+  a bulk check is read again line by line, to name the first bad line.
+
 * warm-start vectors: exactly n lines, one finite decimal per line.
 
 * graph6 records: standard sparse-graph encoding, one per line,
@@ -52,60 +55,64 @@ def parse_instance(text: str) -> WeightedGraph:
     """Parse a DIMACS-flavored MWIS instance into a validated graph.
 
     Vertex ids are 1-based in the file and converted to 0-based here.
-    Lines up to the problem line are read one at a time; the rest is read
-    in chunks of CHUNK_LINES lines whose tokens are converted and checked
-    as arrays.  A chunk that fails any check is read again line by line,
+    A bulk pass reads the text as arrays (see _read_bulk).  Text that
+    fails any of its checks is read once more, line by line from line 1,
     so the error names the first bad line, with the same message, as a
-    line-by-line reader would.
+    line-by-line reader would; only invalid input pays for that pass.
     """
     lines = text.splitlines()
-    reader = _LineReader()
-    pos = reader.read(lines, 0, until_problem=True)
-    n, m = reader.n, reader.m
-    if n is None:
-        raise FormatError("missing problem line")
-    if n > len(lines):
-        # too few lines to weight n vertices, so the file is bad: find the
-        # error line by line rather than size arrays by an untrusted n
-        reader.read(lines, pos)
-        _check_edge_count(m, reader.edges)
-        first = next(vid for vid in itertools.count(1) if vid not in reader.ids)
-        raise FormatError(f"missing weight for vertex {first}")
-
-    weighted = np.zeros(max(n, 0) + 1, dtype=bool)  # by 1-based vertex id
-    w = np.empty(max(n, 0))
-    edge_chunks = []
-    for lo in range(pos, len(lines), CHUNK_LINES):
-        hi = min(lo + CHUNK_LINES, len(lines))
-        chunk = _read_chunk(lines[lo:hi], n, weighted)
-        if chunk is None:
-            _LineReader(n, m, weighted).read(lines, lo, hi)
-            raise AssertionError(f"lines {lo + 1}-{hi} failed a bulk check but read cleanly")
-        ids, values, edges = chunk
-        weighted[ids] = True
-        w[ids - 1] = values
-        edge_chunks.append(edges)
-    edges = np.concatenate(edge_chunks) if edge_chunks else np.empty((0, 2), dtype=np.int64)
-    _check_edge_count(m, len(edges))
-    if not weighted[1:].all():
-        raise FormatError(f"missing weight for vertex {int(np.argmin(weighted[1:])) + 1}")
+    instance = _read_bulk(lines)
+    if instance is None:
+        _raise_first_error(lines)
+        raise AssertionError("the instance failed a bulk check but read cleanly")
+    n, edges, w = instance
     try:
         return build_graph(n, edges, w)
     except GraphError as exc:
         raise FormatError(str(exc)) from exc
 
 
-def _check_edge_count(m: int, count: int) -> None:
-    if count != m:
-        raise FormatError(f"problem line declares {m} edges, file has {count}")
+def _read_bulk(lines: list[str]):
+    """(n, 0-based edges, weights by vertex) of a clean instance, else None.
+
+    Skips leading blank and comment lines, reads the problem line, then the
+    body in chunks of CHUNK_LINES lines.  Clean means every chunk reads, there
+    are m edge lines, and the weight-line ids, sorted once, are exactly 1..n;
+    that sort also places the weights.
+    """
+    for pos, line in enumerate(lines):
+        parts = line.split()
+        if parts and not parts[0].startswith("c"):
+            break
+    else:
+        return None
+    if len(parts) != 4 or parts[:2] != ["p", "mwis"]:
+        return None
+    try:
+        n, m = int(parts[2]), int(parts[3])
+    except ValueError:
+        return None
+    chunks = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 2), dtype=np.int64))]
+    for lo in range(pos + 1, len(lines), CHUNK_LINES):
+        chunk = _read_chunk(lines[lo : lo + CHUNK_LINES], n)
+        if chunk is None:
+            return None
+        chunks.append(chunk)
+    ids, values, edges = (np.concatenate(parts) for parts in zip(*chunks))
+    if len(edges) != m or ids.size != max(n, 0):
+        return None
+    order = np.argsort(ids)
+    if not np.array_equal(ids[order], np.arange(1, ids.size + 1)):
+        return None
+    return n, edges, values[order]
 
 
-def _read_chunk(lines: list[str], n: int, weighted: np.ndarray):
+def _read_chunk(lines: list[str], n: int):
     """(vertex ids, weights, 0-based edges) of a chunk read as arrays.
 
-    Returns None if a line is malformed, a number does not parse, an id is
-    out of range, or a weight is repeated (in the chunk or in weighted).
-    Numbers go through int() and float(), as on the line-by-line path.
+    Returns None if a line is malformed, a number does not parse, or an
+    id is outside 1..n.  Numbers go through int() and float(), as in
+    _raise_first_error.
     """
     counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
     tokens = np.array("\n".join(lines).split(), dtype=object)
@@ -126,79 +133,68 @@ def _read_chunk(lines: list[str], n: int, weighted: np.ndarray):
         values = np.fromiter(map(float, tokens[starts[~is_e] + 2]), dtype=np.float64)
     except (ValueError, OverflowError):
         return None
-    ids, u = first[~is_e], first[is_e]
-    ids_sorted = np.sort(ids)
-    if (
-        np.any((first < 1) | (first > n))
-        or np.any((second < 1) | (second > n))
-        or np.any(ids_sorted[1:] == ids_sorted[:-1])
-        or np.any(weighted[ids])
-    ):
+    if np.any((first < 1) | (first > n)) or np.any((second < 1) | (second > n)):
         return None
-    return ids, values, np.column_stack((u - 1, second - 1))
+    return first[~is_e], values, np.column_stack((first[is_e] - 1, second - 1))
 
 
-class _LineReader:
-    """The line-by-line instance reader, which defines every error message.
+def _raise_first_error(lines: list[str]) -> None:
+    """Read lines one at a time and raise the first FormatError found.
 
-    It reads the lines before the problem line, re-reads a chunk that
-    failed a bulk check, and reads files with fewer lines than vertices.
-    It keeps only what its checks need: n, m, the vertex ids given a
-    weight, and the edge-line count.
+    This reader defines every error message.  It raises, in order: the
+    first bad line, a missing problem line, a wrong edge count, and the
+    first vertex id in 1..n with no weight.  It returns if none applies.
     """
-
-    def __init__(self, n=None, m=None, weighted=None):
-        self.n, self.m = n, m
-        self.weighted = weighted  # ids weighted by earlier chunks, or None
-        self.ids: set[int] = set()
-        self.edges = 0
-
-    def read(self, lines: list[str], lo: int, hi=None, until_problem: bool = False) -> int:
-        """Read lines[lo:hi], or up to the problem line; returns the next index."""
-        hi = len(lines) if hi is None else hi
-        for lineno in range(lo + 1, hi + 1):
-            line = lines[lineno - 1].strip()
-            if not line or line.startswith("c"):
-                continue
-            parts = line.split()
-            kind = parts[0]
-            try:
-                if kind == "p":
-                    if len(parts) != 4 or parts[1] != "mwis":
-                        raise FormatError(f"line {lineno}: malformed problem line {line!r}")
-                    if self.n is not None:
-                        raise FormatError(f"line {lineno}: duplicate problem line")
-                    self.n, self.m = int(parts[2]), int(parts[3])
-                    if until_problem:
-                        return lineno
-                elif kind == "n":
-                    if self.n is None:
-                        raise FormatError(f"line {lineno}: weight line before problem line")
-                    if len(parts) != 3:
-                        raise FormatError(f"line {lineno}: malformed weight line {line!r}")
-                    vid = int(parts[1])
-                    if not 1 <= vid <= self.n:
-                        raise FormatError(f"line {lineno}: vertex id {vid} outside 1..{self.n}")
-                    if vid in self.ids or (self.weighted is not None and self.weighted[vid]):
-                        raise FormatError(f"line {lineno}: duplicate weight for vertex {vid}")
-                    float(parts[2])
-                    self.ids.add(vid)
-                elif kind == "e":
-                    if self.n is None:
-                        raise FormatError(f"line {lineno}: edge line before problem line")
-                    if len(parts) != 3:
-                        raise FormatError(f"line {lineno}: malformed edge line {line!r}")
-                    u, v = int(parts[1]), int(parts[2])
-                    if not (1 <= u <= self.n and 1 <= v <= self.n):
-                        raise FormatError(f"line {lineno}: edge ({u},{v}) outside 1..{self.n}")
-                    self.edges += 1
-                else:
-                    raise FormatError(f"line {lineno}: unknown line type {kind!r}")
-            except ValueError as exc:
-                if isinstance(exc, FormatError):
-                    raise
-                raise FormatError(f"line {lineno}: cannot parse number in {line!r}") from exc
-        return hi
+    n = m = None
+    ids: set[int] = set()
+    edges = 0
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        kind = parts[0]
+        try:
+            if kind == "p":
+                if len(parts) != 4 or parts[1] != "mwis":
+                    raise FormatError(f"line {lineno}: malformed problem line {line!r}")
+                if n is not None:
+                    raise FormatError(f"line {lineno}: duplicate problem line")
+                n, m = int(parts[2]), int(parts[3])
+            elif kind == "n":
+                if n is None:
+                    raise FormatError(f"line {lineno}: weight line before problem line")
+                if len(parts) != 3:
+                    raise FormatError(f"line {lineno}: malformed weight line {line!r}")
+                vid = int(parts[1])
+                if not 1 <= vid <= n:
+                    raise FormatError(f"line {lineno}: vertex id {vid} outside 1..{n}")
+                if vid in ids:
+                    raise FormatError(f"line {lineno}: duplicate weight for vertex {vid}")
+                float(parts[2])
+                ids.add(vid)
+            elif kind == "e":
+                if n is None:
+                    raise FormatError(f"line {lineno}: edge line before problem line")
+                if len(parts) != 3:
+                    raise FormatError(f"line {lineno}: malformed edge line {line!r}")
+                u, v = int(parts[1]), int(parts[2])
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise FormatError(f"line {lineno}: edge ({u},{v}) outside 1..{n}")
+                edges += 1
+            else:
+                raise FormatError(f"line {lineno}: unknown line type {kind!r}")
+        except ValueError as exc:
+            if isinstance(exc, FormatError):
+                raise
+            raise FormatError(f"line {lineno}: cannot parse number in {line!r}") from exc
+    if n is None:
+        raise FormatError("missing problem line")
+    if edges != m:
+        raise FormatError(f"problem line declares {m} edges, file has {edges}")
+    first = next(vid for vid in itertools.count(1) if vid not in ids)
+    if first <= n:
+        raise FormatError(f"missing weight for vertex {first}")
 
 
 def write_instance(g: WeightedGraph, comment: Optional[str] = None) -> str:

@@ -142,8 +142,8 @@ class MisCorrespondence:
     stab: float
     gamma_stable: bool
     q_value: float
-    q_matches: bool  # Q at the carried point equals 1/weight
-    local_min_verified: bool  # no probed direction decreases Q beyond 1e-12
+    q_matches: bool  # Q at the carried point equals 1/weight, within Q_MATCH_TOL/weight
+    local_min_verified: bool  # no probe decreases Q by more than DESCENT_TOL/weight
     worst_descent: float  # most negative Q change seen over all probes
 
 
@@ -206,9 +206,11 @@ def correspondence_check(
 ) -> OracleReport:
     """Check every MIS against the tilted-simplex local-minimum picture.
 
-    For each maximal independent set: the stability score, the quadratic
-    form value at its carried point (expected 1/weight), and a local
-    minimality probe over admissible tangent directions of magnitude 1e-4.
+    For each maximal independent set of weight W: the stability score, the
+    quadratic form value at its carried point r (expected 1/W), and a local
+    minimality probe over admissible tangent directions of norm
+    PROBE_MAGNITUDE * |r|, where |r| = 1/sqrt(W).  The tolerances are
+    Q_MATCH_TOL/W and DESCENT_TOL/W, so no flag depends on the weight scale.
     """
     if g.n > CORRESPONDENCE_LIMIT:
         raise ValueError(f"correspondence check supports n <= {CORRESPONDENCE_LIMIT}")
@@ -226,12 +228,13 @@ def correspondence_check(
         stab = mis_stability(g, sol, gamma)
         r = mis_simplex_point(g, members)
         q = tilted_simplex_q(g, r, gamma)
-        q_matches = abs(q - 1.0 / sol.weight) <= Q_MATCH_TOL
+        q_matches = abs(q - 1.0 / sol.weight) <= Q_MATCH_TOL / sol.weight
         D = _tangent_probes(g, members, perturbations, rng)
         if len(D):
-            # exact quadratic expansion: Q(r+d) - Q(r) = 2 d.Br + d.Bd
+            # exact expansion at the scale s = |r|: Q(r+sd) - Q(r) = 2s d.Br + s^2 d.Bd
+            s = 1.0 / np.sqrt(sol.weight)
             Br = B @ r
-            delta_q = 2.0 * (D @ Br) + np.einsum("ij,ij->i", D, D @ B.T)
+            delta_q = 2.0 * s * (D @ Br) + s * s * np.einsum("ij,ij->i", D, D @ B.T)
             worst = float(delta_q.min())
         else:
             worst = 0.0
@@ -242,7 +245,7 @@ def correspondence_check(
                 gamma_stable=stab > 1.0,
                 q_value=q,
                 q_matches=q_matches,
-                local_min_verified=worst >= -DESCENT_TOL,
+                local_min_verified=worst >= -DESCENT_TOL / sol.weight,
                 worst_descent=worst,
             )
         )

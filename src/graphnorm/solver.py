@@ -41,10 +41,10 @@ class RunConfig:
     def schedule(self) -> GammaSchedule:
         """The run's schedule; raises ValueError on a config no solve accepts.
 
-        GammaSchedule checks the iteration budget against the mode.
+        GammaSchedule checks gamma > 0 and the iteration budget against the mode.
         """
-        if not self.gamma1 >= self.gamma0 > 0:
-            raise ValueError("need gamma1 >= gamma0 > 0")
+        if not self.gamma1 >= self.gamma0:
+            raise ValueError("need gamma1 >= gamma0")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
         return GammaSchedule(self.gamma0, self.gamma1, self.iterations)

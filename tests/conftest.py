@@ -12,7 +12,7 @@ from graphnorm import build_graph, erdos_renyi
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=60, print_blob=True
 )
-hypothesis.settings.register_profile("fast", deadline=None, max_examples=15)
+hypothesis.settings.register_profile("deep", deadline=None, max_examples=2000)
 hypothesis.settings.load_profile("default")
 
 

@@ -162,7 +162,7 @@ def test_schedule_constant():
     assert all(s.gamma_at(k) == 1.2 for k in range(10))
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9, 1.0, 1.2, 1.5, 2.0 / 3.0])
+@pytest.mark.parametrize("gamma", [0.3, 0.9, 1.0, 1.2, 1.5, 2.0 / 3.0])
 def test_schedule_mode_derived_from_endpoints(gamma):
     s = GammaSchedule(gamma, gamma, 37)
     assert s.mode == "constant"
@@ -183,6 +183,10 @@ def test_schedule_validation():
         GammaSchedule(-0.1, 1.5, 10)
     with pytest.raises(ValueError):
         GammaSchedule.constant(-1.0, 10)
+    with pytest.raises(ValueError):
+        GammaSchedule.constant(0.0, 3)  # at gamma 0 a zero entry leaves the map's domain
+    with pytest.raises(ValueError):
+        GammaSchedule(0.0, 1.5, 10)
     with pytest.raises(TypeError):
         GammaSchedule(0.9, 1.5, 10, mode="diagonal")  # the mode is not an argument
     assert GammaSchedule(1.2, 1.2, 1).mode == "constant"

@@ -154,3 +154,16 @@ def test_motzkin_straus_small_graphs_thorough():
                     assert not rec.local_min_verified
                     unstable_seen += 1
     assert stable_seen > 100 and unstable_seen > 30
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_correspondence_flags_are_scale_free(scale):
+    # Q at the point of an MIS of weight W is 1/W: probes and tolerances scale with it
+    for k in range(30):
+        g = erdos_renyi(12, 0.3, k)
+        scaled = build_graph(g.n, list(g.edges()), g.w * scale)
+        flags = [
+            [(r.local_min_verified, r.q_matches) for r in correspondence_check(h, 1.5, 1000).mis_list]
+            for h in (g, scaled)
+        ]
+        assert flags[1] == flags[0], f"graph {k}"

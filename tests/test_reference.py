@@ -132,7 +132,7 @@ def instance_texts(draw):
             lines.insert(k, lines[min(k, len(lines) - 1)])
         elif op == "replace":
             lines[min(k, len(lines) - 1)] = draw(st.sampled_from(ODD_LINES))
-        else:
+        elif len(lines) > 1:
             lines[1] = draw(st.sampled_from([f"p mwis {n + 50} {len(edges)}", f"p mwis {n} {len(edges) + 1}", "p mwis -1 0", "p mwis 0 0"]))
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
 
@@ -159,6 +159,16 @@ def test_parse_instance_matches_reference(text, chunk_lines):
         "p mwis 2 1\nn 1 4\nn 2 1\ne 2 2\n",  # self-loop reported 0-based
         "c only comments\n\n",
         "p mwis 500 0\nn 1 1\n",  # fewer lines than vertices
+        "p mwis 500 3\nn 1 1\ne 1 2\n",  # the edge count wins over a missing weight
+        "p mwis 3 0\nn 1 4\nn 2 1\nn 1 3\nn 3 x\n",  # duplicate of an earlier chunk, then a bad number
+        "p mwis 2 1\nn 1 1\nn 2 1\ne 1 2\np mwis 2 1\n",  # second problem line after the body
+        "p mwis -1 0\n",  # negative vertex count, no body
+        "p mwis -1 0\nn 1 1\n",  # negative vertex count, one weight line
+        "c a\n\n   \ncx y\np mwis 2 1\nn 1 1\nn 2 2\ne 2 1\n",  # comments and blanks before the problem line
+        "\n c indented\n\np mwis 2 0\nn 1 1\n",  # the same, then a missing weight
+        "p mwis 2 0\nn 1 1\nn 1 2\n",  # a duplicate weight in place of a missing one
+        "p mwis 2 1\nn 1 1\nn 2 1\ne 1 3\n",  # an edge outside 1..n, edge count right
+        "p mwis 2 1\nn 1 1\nn 2 1\ne 3 1\n",  # the same, first endpoint
     ],
 )
 def test_parse_instance_errors_match_reference(text):
