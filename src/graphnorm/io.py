@@ -9,8 +9,9 @@ Three text formats live here:
       n <vertex-id> <weight>     (one line per vertex, ids 1-based)
       e <u> <v>                  (one line per edge, ids 1-based)
 
-  parse_instance reads the text in bulk, as token arrays; text that fails
-  a bulk check is read again line by line, to name the first bad line.
+  parse_instance reads text with printable-ASCII data lines and plain
+  ids (see its docstring) as byte arrays, in one pass; all other text,
+  valid or not, is read line by line, and an error names the first bad line.
 
 * warm-start vectors: exactly n lines, one finite decimal per line.
 
@@ -46,25 +47,32 @@ class FormatError(ValueError):
 # MWIS instances
 
 
-# Lines per bulk-read chunk: big enough to amortise the array calls, small
-# enough that the chunk's token list stays a few MB.
-CHUNK_LINES = 65536
+# Bytes per chunk of the byte reader, extended to the end of a line: enough to
+# amortise the array calls, few enough that the chunk's index arrays stay a few MB.
+CHUNK_BYTES = 1 << 20
+
+# The byte reader's alphabet: tab, newline, carriage return, printable ASCII, and
+# the bytes above 127 of UTF-8 text, which no token outside a comment line passes.
+_PLAIN = b"\t\n\r" + bytes(range(32, 127)) + bytes(range(128, 256))
 
 
 def parse_instance(text: str) -> WeightedGraph:
     """Parse a DIMACS-flavored MWIS instance into a validated graph.
 
     Vertex ids are 1-based in the file and converted to 0-based here.
-    A bulk pass reads the text as arrays (see _read_bulk).  Text that
-    fails any of its checks is read once more, line by line from line 1,
-    so the error names the first bad line, with the same message, as a
-    line-by-line reader would; only invalid input pays for that pass.
+    The byte reader (_read_bytes) reads, as arrays, lines ended by LF or
+    CR LF, of which: any number are blank or comments, the first other
+    line is "p mwis <n> <m>", and every later one is "n <id> <weight>" or
+    "e <u> <v>" in printable ASCII, tokens split by spaces and tabs, ids
+    and counts of 1 to 18 ASCII digits, weights as float() reads them.
+    Comments may hold any text without U+0085, U+2028, U+2029 or a
+    control character other than tab.
+    All other text, valid or not, goes to the line reader (_read_lines),
+    which defines the format and every error message and line number.
     """
-    lines = text.splitlines()
-    instance = _read_bulk(lines)
+    instance = _read_bytes(text)
     if instance is None:
-        _raise_first_error(lines)
-        raise AssertionError("the instance failed a bulk check but read cleanly")
+        instance = _read_lines(text.splitlines())
     n, edges, w = instance
     try:
         return build_graph(n, edges, w)
@@ -72,82 +80,103 @@ def parse_instance(text: str) -> WeightedGraph:
         raise FormatError(str(exc)) from exc
 
 
-def _read_bulk(lines: list[str]):
-    """(n, 0-based edges, weights by vertex) of a clean instance, else None.
+def _read_bytes(text: str):
+    """(n, 0-based edges, weights by vertex) of text in the byte reader's grammar, else None.
 
-    Skips leading blank and comment lines, reads the problem line, then the
-    body in chunks of CHUNK_LINES lines.  Clean means every chunk reads, there
-    are m edge lines, and the weight-line ids, sorted once, are exactly 1..n;
-    that sort also places the weights.
+    Reads the lines up to the problem line one at a time, then the body in
+    chunks of about CHUNK_BYTES.  The text is read only if every chunk
+    reads, there are m edge lines, and the weight-line ids, sorted once,
+    are exactly 1..n; that sort also places the weights.
     """
-    for pos, line in enumerate(lines):
-        parts = line.split()
-        if parts and not parts[0].startswith("c"):
+    if not text.isascii() and any(map(text.__contains__, "\x85\u2028\u2029")):
+        return None  # line ends to str.splitlines that UTF-8 spells with bytes above 127
+    data = text.encode("utf-8", "surrogatepass")
+    if data.translate(None, _PLAIN) or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    pos = 0
+    while pos < len(data):
+        end = data.find(b"\n", pos) + 1 or len(data)
+        parts, pos = data[pos:end].split(), end
+        if parts and not parts[0].startswith(b"c"):
             break
     else:
         return None
-    if len(parts) != 4 or parts[:2] != ["p", "mwis"]:
+    if len(parts) != 4 or parts[:2] != [b"p", b"mwis"]:
         return None
-    try:
-        n, m = int(parts[2]), int(parts[3])
-    except ValueError:
+    if not all(count.isdigit() and len(count) <= 18 for count in parts[2:]):
         return None
+    n, m = int(parts[2]), int(parts[3])
     chunks = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 2), dtype=np.int64))]
-    for lo in range(pos + 1, len(lines), CHUNK_LINES):
-        chunk = _read_chunk(lines[lo : lo + CHUNK_LINES], n)
-        if chunk is None:
+    while pos < len(data):
+        end = data.find(b"\n", pos + CHUNK_BYTES - 1) + 1 or len(data)
+        chunks.append(_read_chunk(data[pos:end]))
+        if chunks[-1] is None:
             return None
-        chunks.append(chunk)
+        pos = end
     ids, values, edges = (np.concatenate(parts) for parts in zip(*chunks))
-    if len(edges) != m or ids.size != max(n, 0):
+    if len(edges) != m or ids.size != n or np.any((edges < 0) | (edges >= n)):
         return None
     order = np.argsort(ids)
-    if not np.array_equal(ids[order], np.arange(1, ids.size + 1)):
+    if not np.array_equal(ids[order], np.arange(1, n + 1)):
         return None
     return n, edges, values[order]
 
 
-def _read_chunk(lines: list[str], n: int):
-    """(vertex ids, weights, 0-based edges) of a chunk read as arrays.
+def _read_chunk(chunk: bytes):
+    """(vertex ids, weights, 0-based edges) of the body lines in chunk, else None.
 
-    Returns None if a line is malformed, a number does not parse, or an
-    id is outside 1..n.  Numbers go through int() and float(), as in
-    _raise_first_error.
+    Tokens are the runs of bytes above space.  A line whose first token
+    starts with "c" is a comment, whatever else it holds; every other
+    non-blank line must be "n" or "e" and two more tokens.  Those hold no
+    byte above 127: ids are ASCII digits, and float() reads bytes as ASCII.
     """
-    counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
-    tokens = np.array("\n".join(lines).split(), dtype=object)
-    nonblank = counts > 0
-    starts = (np.cumsum(counts) - counts)[nonblank]
-    heads = tokens[starts]
-    is_e = heads == "e"
-    data = is_e | (heads == "n")
-    comments = heads[~data]
-    if not all(map(str.startswith, comments, itertools.repeat("c"))):
+    b = np.frombuffer(chunk, dtype=np.uint8)
+    solid = np.concatenate(([False], b > 32, [False]))
+    starts, ends = np.flatnonzero(solid[1:] != solid[:-1]).reshape(-1, 2).T
+    heads = np.searchsorted(starts, np.concatenate(([0], np.flatnonzero(b == 10) + 1)))
+    counts = np.diff(heads, append=starts.size)  # tokens on each line
+    heads, counts = heads[counts > 0], counts[counts > 0]
+    comment = b[starts[heads]] == ord("c")
+    heads, counts = heads[~comment], counts[~comment]
+    kind = b[starts[heads]]
+    is_e = kind == ord("e")
+    if not (np.all(is_e | (kind == ord("n"))) and np.all(ends[heads] == starts[heads] + 1) and np.all(counts == 3)):
         return None
-    if not np.all(counts[nonblank][data] == 3):
-        return None
-    starts, is_e = starts[data], is_e[data]
+    first, second = (_integers(b, starts[at], ends[at]) for at in (heads + 1, heads[is_e] + 2))
+    weight = heads[~is_e] + 2
     try:
-        first = np.fromiter(map(int, tokens[starts + 1]), dtype=np.int64, count=starts.size)
-        second = np.fromiter(map(int, tokens[starts[is_e] + 2]), dtype=np.int64)
-        values = np.fromiter(map(float, tokens[starts[~is_e] + 2]), dtype=np.float64)
-    except (ValueError, OverflowError):
+        words = map(chunk.__getitem__, map(slice, starts[weight].tolist(), ends[weight].tolist()))
+        values = np.fromiter(map(float, words), dtype=np.float64, count=weight.size)
+    except ValueError:
         return None
-    if np.any((first < 1) | (first > n)) or np.any((second < 1) | (second > n)):
+    if first is None or second is None:
         return None
     return first[~is_e], values, np.column_stack((first[is_e] - 1, second - 1))
 
 
-def _raise_first_error(lines: list[str]) -> None:
-    """Read lines one at a time and raise the first FormatError found.
+def _integers(b: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Values of the tokens b[starts:ends] if each is 1 to 18 ASCII digits, else None."""
+    size = ends - starts
+    values = np.zeros(size.size, dtype=np.int64)
+    for k in range(size.max(initial=0)):
+        live = size > k
+        digit = b[starts[live] + k] - ord("0")  # uint8: every other byte wraps past 9
+        if k == 18 or np.any(digit > 9):
+            return None
+        values[live] = values[live] * 10 + digit
+    return values
+
+
+def _read_lines(lines: list[str]):
+    """(n, 0-based edges, weights by vertex) of lines read one at a time.
 
     This reader defines every error message.  It raises, in order: the
     first bad line, a missing problem line, a wrong edge count, and the
-    first vertex id in 1..n with no weight.  It returns if none applies.
+    first vertex id in 1..n with no weight.
     """
     n = m = None
-    ids: set[int] = set()
-    edges = 0
+    weights: dict[int, float] = {}
+    ends: list[int] = []  # edge ends, two per edge
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -169,10 +198,9 @@ def _raise_first_error(lines: list[str]) -> None:
                 vid = int(parts[1])
                 if not 1 <= vid <= n:
                     raise FormatError(f"line {lineno}: vertex id {vid} outside 1..{n}")
-                if vid in ids:
+                if vid in weights:
                     raise FormatError(f"line {lineno}: duplicate weight for vertex {vid}")
-                float(parts[2])
-                ids.add(vid)
+                weights[vid] = float(parts[2])
             elif kind == "e":
                 if n is None:
                     raise FormatError(f"line {lineno}: edge line before problem line")
@@ -181,7 +209,7 @@ def _raise_first_error(lines: list[str]) -> None:
                 u, v = int(parts[1]), int(parts[2])
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise FormatError(f"line {lineno}: edge ({u},{v}) outside 1..{n}")
-                edges += 1
+                ends += u, v
             else:
                 raise FormatError(f"line {lineno}: unknown line type {kind!r}")
         except ValueError as exc:
@@ -190,11 +218,12 @@ def _raise_first_error(lines: list[str]) -> None:
             raise FormatError(f"line {lineno}: cannot parse number in {line!r}") from exc
     if n is None:
         raise FormatError("missing problem line")
-    if edges != m:
-        raise FormatError(f"problem line declares {m} edges, file has {edges}")
-    first = next(vid for vid in itertools.count(1) if vid not in ids)
+    if len(ends) != 2 * m:
+        raise FormatError(f"problem line declares {m} edges, file has {len(ends) // 2}")
+    first = next(vid for vid in itertools.count(1) if vid not in weights)
     if first <= n:
         raise FormatError(f"missing weight for vertex {first}")
+    return n, np.array(ends, dtype=np.int64).reshape(-1, 2) - 1, [weights[vid] for vid in range(1, n + 1)]
 
 
 def write_instance(g: WeightedGraph, comment: Optional[str] = None) -> str:

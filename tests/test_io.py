@@ -72,6 +72,8 @@ def test_parse_warm_start():
         parse_warm_start("nan\n0.1\n", 2)
     with pytest.raises(FormatError):
         parse_warm_start("0.5\nfoo\n", 2)
+    with pytest.raises(FormatError, match="warm start line 2: cannot parse '1 2'"):
+        parse_warm_start("0.5\n1 2\n", 2)
 
 
 def test_graph6_k2():

@@ -111,17 +111,20 @@ ODD_LINES = [
     "n 1", "n 1 2 3", "n 0 1", "n 99 1", "n 1 abc", "n 1 -2", "n 1 nan", "n 1 inf", "n 1 0",
     "n 2 1.5", "n 1_0 2", "n 99999999999999999999999 1", "\tn 1 2 ", "q 1 2",
     "e 1", "e 1 1", "e 0 1", "e 1 99", "e 1 x", "e +1 2", "e\t2\t1", "e 1 2 3", "e 2 1",
+    "ex 1 2", "e 01 2", "e 0000000000000000001 2", "n 1 1e-3", "e 1\x0c2", "n 1\r2", "n 1\u00a02", "e \uff11 2",
+    "c \u00e9t\u00e9", "c x\u2028q", "n 1 1\u00e9", "e 1 2 c\u00e9",
 ]
 
 
 @st.composite
-def instance_texts(draw):
+def instance_texts(draw, mutate=True):
     n, edges = draw(edge_lists(max_n=8))
     weights = draw(st.lists(st.sampled_from([1.0, 2.0, 0.5, 3.25]), min_size=n, max_size=n))
     body = [f"n {i + 1} {wi!r}" for i, wi in enumerate(weights)]
     body += [f"e {u + 1} {v + 1}" for u, v in edges]
-    lines = ["c generated"] + [f"p mwis {n} {len(edges)}"] + draw(st.permutations(body))
-    for _ in range(draw(st.integers(0, 3))):
+    head = draw(st.sampled_from(["c generated", "c g\u00e9n\u00e9r\u00e9 \u2603"]))
+    lines = [head, f"p mwis {n} {len(edges)}"] + draw(st.permutations(body))
+    for _ in range(draw(st.integers(0, 3 if mutate else 0))):
         k = draw(st.integers(0, len(lines)))
         op = draw(st.sampled_from(["delete", "copy", "replace", "insert", "problem"]))
         if op == "insert" or not lines:
@@ -145,9 +148,29 @@ def _outcome(parse, text):
     return g.n, g.indptr.tolist(), g.indices.tolist(), g.w.tolist()
 
 
-@given(instance_texts(), st.sampled_from([1, 2, 3, 5, graphnorm.io.CHUNK_LINES]))
-def test_parse_instance_matches_reference(text, chunk_lines):
-    with mock.patch.object(graphnorm.io, "CHUNK_LINES", chunk_lines):
+CHUNK_SIZES = [1, 7, 64, graphnorm.io.CHUNK_BYTES]
+
+
+@given(instance_texts(), st.sampled_from(CHUNK_SIZES))
+def test_parse_instance_matches_reference(text, chunk_bytes):
+    with mock.patch.object(graphnorm.io, "CHUNK_BYTES", chunk_bytes):
+        assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, text)
+
+
+@given(instance_texts(mutate=False), st.sampled_from(CHUNK_SIZES))
+def test_parse_instance_byte_reader_reads_clean_texts(text, chunk_bytes):
+    # a byte reader that always fell back to the line reader would pass every other test
+    with mock.patch.object(graphnorm.io, "CHUNK_BYTES", chunk_bytes):
+        assert graphnorm.io._read_bytes(text) is not None
+        assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, text)
+
+
+@given(st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**16), st.sampled_from([None, "one", "two\nlines", "\u0141\u00f3d\u017a"]))
+def test_parse_instance_byte_reader_reads_written_instances(n, p, seed, comment):
+    g = erdos_renyi(n, p, seed) if n else build_graph(0, [], [])
+    text = write_instance(g, comment)
+    with mock.patch.object(graphnorm.io, "CHUNK_BYTES", 7):
+        assert graphnorm.io._read_bytes(text) is not None
         assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, text)
 
 
@@ -169,11 +192,54 @@ def test_parse_instance_matches_reference(text, chunk_lines):
         "p mwis 2 0\nn 1 1\nn 1 2\n",  # a duplicate weight in place of a missing one
         "p mwis 2 1\nn 1 1\nn 2 1\ne 1 3\n",  # an edge outside 1..n, edge count right
         "p mwis 2 1\nn 1 1\nn 2 1\ne 3 1\n",  # the same, first endpoint
+        "p mwis 2 1\nn 1 1\nc note\nn 2 1\ne 1 2\n",  # a comment mid-body
+        "p mwis 2 1\r\nn 1 1\r\nn 2 1\re 1 2\r\n",  # a lone carriage return ends a line
+        "p mwis 2 1\nn 1 1\nn 2 0x1\ne 1 2\n",  # a weight float() does not read
+        pytest.param("p mwis " + "1" * 5000 + " 0\n", id="p mwis <5000 digits> 0"),  # int() refuses it
     ],
 )
 def test_parse_instance_errors_match_reference(text):
-    with mock.patch.object(graphnorm.io, "CHUNK_LINES", 2):
+    with mock.patch.object(graphnorm.io, "CHUNK_BYTES", 7):
         assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, text)
+
+
+@pytest.mark.parametrize("line", ODD_LINES)
+@pytest.mark.parametrize("replaced", ["n 1 1", "e 3 2"])
+def test_parse_instance_odd_line_matches_reference(line, replaced):
+    # in place of a weight or an edge line, so that misreading the line can give a valid graph
+    text = "c head\np mwis 3 2\nn 1 1\nn 2 2\nn 3 0.5\ne 1 2\ne 3 2\n".replace(replaced, line)
+    with mock.patch.object(graphnorm.io, "CHUNK_BYTES", 7):
+        assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, text)
+
+
+@pytest.mark.parametrize(
+    "line, meaning",
+    [
+        ("e 0000000000000000001 2", "e 1 2"),  # 19 digits
+        ("e +1 2", "e 1 2"),
+        ("e 1_0 2", "e 10 2"),
+        ("e \uff11 2", "e 1 2"),  # fullwidth digit
+        ("e 1\u00a02", "e 1 2"),  # no-break space
+        ("e\x1f1 2", "e 1 2"),  # unit separator, whitespace to str.split
+        ("n 1\x0b\n", "n 1"),  # vertical tab, a line end to str.splitlines
+        ("n 1\r2", "n 1\n2"),  # lone carriage return
+        ("e 1 2\nc \u00e9\x85q", "e 1 2\nc \u00e9\nq"),  # next line, a line end to str.splitlines
+        ("e 1 2\nc\u2028q", "e 1 2\nc\nq"),  # line separator
+        ("e 1 2\nc\u2029q", "e 1 2\nc\nq"),  # paragraph separator
+        ("\u00a0c x\ne 1 2", "e 1 2"),  # a comment to str.strip, not to the byte reader
+    ],
+)
+def test_parse_instance_byte_reader_falls_back(line, meaning):
+    head = "p mwis 10 1\n" + "".join(f"n {i} {i}\n" for i in range(10, 0, -1))
+    text, same = head + line, head + meaning
+    assert graphnorm.io._read_bytes(text) is None
+    assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, same)
+
+
+def test_parse_instance_byte_reader_skips_comments_anywhere():
+    text = "c a \u00e9\n\np mwis 2 1\nn 1 1\n  c n\u00f6te \udc80\nn 2 1\ncx y\r\ne 1 2\nc end \u2603"
+    assert graphnorm.io._read_bytes(text) is not None
+    assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, text)
 
 
 def test_parse_instance_huge_vertex_count_is_quick():
