@@ -28,8 +28,8 @@ def mis_stability(g: WeightedGraph, m: MisSolution, gamma: float) -> float:
     Scores above 1 mark asymptotically stable attractors.  Returns +inf when
     M covers every vertex (edgeless graphs), where the min runs over nothing.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     members = np.asarray(m.members, dtype=np.int64)
     if not is_maximal_independent(g, members):
         raise ValueError("solution is not a maximal independent set")
@@ -60,20 +60,21 @@ def _weighted_closed_operator(g: WeightedGraph, gamma: float) -> np.ndarray:
     return B
 
 
-def jacobian_spectral_radius(
-    g: WeightedGraph,
-    x: np.ndarray,
-    gamma: float,
-    dense_limit: int = 512,
-    power_tol: float = 1e-10,
-    power_cap: int = 100_000,
-    seed: int = 0,
-) -> float:
+# Largest n that jacobian_spectral_radius solves densely; above it, a power
+# iteration from a POWER_SEED start stops at relative change POWER_TOL or
+# raises after POWER_CAP steps.
+DENSE_LIMIT = 512
+POWER_TOL = 1e-10
+POWER_CAP = 100_000
+POWER_SEED = 0
+
+
+def jacobian_spectral_radius(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
     """Spectral radius of the map's Jacobian at a fixed point.
 
     J_ij = (delta_ij - x_i B_ij) / (Bx)_i with B the weighted regularized
     closed adjacency operator.  Requires fixed_point_residual(x) < 1e-8.
-    Sizes up to dense_limit use an exact dense eigensolve; beyond that a
+    Sizes up to DENSE_LIMIT use an exact dense eigensolve; beyond that a
     power iteration on J^T J returns the largest singular value, an upper
     bound on the radius.
     """
@@ -83,7 +84,7 @@ def jacobian_spectral_radius(
     v = g.v
     A = g.adjacency()
     Bx = x + gamma * (A @ (v * x)) / v
-    if g.n <= dense_limit:
+    if g.n <= DENSE_LIMIT:
         B = _weighted_closed_operator(g, gamma)
         J = (np.eye(g.n) - x[:, None] * B) / Bx[:, None]
         return float(np.max(np.abs(np.linalg.eigvals(J))))
@@ -97,17 +98,17 @@ def jacobian_spectral_radius(
         BTs = s + gamma * v * (A @ (s / v))
         return u / Bx - BTs
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POWER_SEED)
     z = rng.standard_normal(g.n)
     z /= np.linalg.norm(z)
     lam_prev = 0.0
-    for _ in range(power_cap):
+    for _ in range(POWER_CAP):
         z2 = JTop(Jop(z))
         lam = float(np.linalg.norm(z2))
         if lam == 0.0:
             return 0.0
         z = z2 / lam
-        if abs(lam - lam_prev) <= power_tol * max(1.0, lam):
+        if abs(lam - lam_prev) <= POWER_TOL * max(1.0, lam):
             return math.sqrt(lam)
         lam_prev = lam
     raise RuntimeError(

@@ -9,6 +9,7 @@ weighted mass (the relaxed objective) increases at every step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,7 +35,7 @@ class GammaSchedule:
     gamma moves linearly from gamma0 at step 0 to gamma1 at the last
     step.  The mode is derived, not chosen: equal endpoints make the
     schedule "constant", which holds gamma0 exactly; any other pair is
-    "linear".
+    "linear".  Both endpoints are held as floats, positive and finite.
     """
 
     gamma0: float
@@ -43,14 +44,16 @@ class GammaSchedule:
     mode: str = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "gamma0", float(self.gamma0))
+        object.__setattr__(self, "gamma1", float(self.gamma1))
         mode = "constant" if self.gamma0 == self.gamma1 else "linear"
         object.__setattr__(self, "mode", mode)
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
         if mode == "linear" and self.iterations < 2:
             raise ValueError("linear mode needs at least 2 iterations")
-        if not (self.gamma0 > 0 and self.gamma1 > 0):
-            raise ValueError("gamma must be positive")
+        if not (0 < self.gamma0 < math.inf and 0 < self.gamma1 < math.inf):
+            raise ValueError("gamma must be positive and finite")
 
     @classmethod
     def constant(cls, gamma: float, iterations: int) -> "GammaSchedule":

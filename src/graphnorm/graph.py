@@ -203,17 +203,16 @@ class MisSolution:
         )
 
 
-def erdos_renyi(
-    n: int,
-    p: float,
-    seed,
-    weight_low: float = 0.1,
-    weight_high: float = 10.0,
-) -> WeightedGraph:
+# erdos_renyi draws each vertex weight uniformly from [WEIGHT_LOW, WEIGHT_HIGH).
+WEIGHT_LOW = 0.1
+WEIGHT_HIGH = 10.0
+
+
+def erdos_renyi(n: int, p: float, seed) -> WeightedGraph:
     """G(n, p) with i.i.d. uniform vertex weights; deterministic per seed."""
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     pick = rng.random(len(iu)) < p
     edges = np.column_stack((iu[pick], ju[pick]))
-    weights = rng.uniform(weight_low, weight_high, size=n)
+    weights = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=n)
     return build_graph(n, edges, weights)

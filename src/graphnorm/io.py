@@ -20,16 +20,19 @@ Three text formats live here:
   6 bits per payload byte offset by 63; graph6_code reads the payload
   bits before padding as one integer, the enumeration's graph code.
 
-Solve results are JSON with a fixed key order and floats rendered to 12
-significant digits, so serialize -> parse -> serialize is byte-identical.
+Solve results are JSON whose keys are the fields of SolveResult and
+StartRecord in order; write_result states the one rule for every value.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
+from io import StringIO  # the standard library's io: imports are absolute
 from typing import Optional
 
 import numpy as np
@@ -326,13 +329,17 @@ def write_graph6(adj: np.ndarray) -> str:
 # Solve results
 
 
-def _f12(x: float) -> float:
-    """Quantize to 12 significant digits (the on-disk float resolution)."""
-    return float(f"{x:.12g}")
+class _Record:
+    """Base of the result dataclasses, whose fields, in order, are the JSON keys."""
+
+    def __post_init__(self):  # a float field given an int holds, and renders as, a float
+        for f in fields(self):
+            if f.type in ("float", "Optional[float]") and getattr(self, f.name) is not None:
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
-class StartRecord:
+class StartRecord(_Record):
     """Outcome of a single trajectory."""
 
     start: str  # seed tag for random starts, file id for warm starts
@@ -344,7 +351,7 @@ class StartRecord:
 
 
 @dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
     """Aggregated outcome of a multi-start run on one instance."""
 
     instance: str
@@ -352,10 +359,10 @@ class SolveResult:
     edges: int
     starts: tuple[StartRecord, ...]
     best_objective: float
-    schedule: dict
-    reference_objective: Optional[float] = None
-    gap_percent: Optional[float] = field(default=None)
-    version: str = FORMAT_VERSION
+    reference_objective: Optional[float] = field(default=None, kw_only=True)
+    gap_percent: Optional[float] = field(default=None, kw_only=True)
+    schedule: dict  # GammaSchedule fields: gamma0, gamma1, iterations, mode
+    version: str = field(default=FORMAT_VERSION, kw_only=True)
 
     @staticmethod
     def gap_of(reference: float, best: float) -> Optional[float]:
@@ -387,75 +394,38 @@ def make_result(
     )
 
 
+def _canonical(value):
+    """value as JSON data: floats at 12 significant digits, None-valued keys left out."""
+    if isinstance(value, dict):
+        return {key: _canonical(item) for key, item in value.items() if item is not None}
+    if isinstance(value, (list, tuple)):
+        return list(map(_canonical, value))
+    return float(f"{value:.12g}") if isinstance(value, float) else value
+
+
 def write_result(result: SolveResult) -> str:
-    """Render a result as canonical JSON (stable keys, 12-digit floats)."""
-    obj: dict = {
-        "instance": result.instance,
-        "n": result.n,
-        "edges": result.edges,
-        "starts": [
-            {
-                "start": s.start,
-                "objective": _f12(s.objective),
-                "valid": s.valid,
-                "maximal": s.maximal,
-                "iterations": s.iterations,
-                "wall_time_ms": _f12(s.wall_time_ms),
-            }
-            for s in result.starts
-        ],
-        "best_objective": _f12(result.best_objective),
-    }
-    if result.reference_objective is not None:
-        obj["reference_objective"] = _f12(result.reference_objective)
-    if result.gap_percent is not None:
-        obj["gap_percent"] = _f12(result.gap_percent)
-    obj["schedule"] = {
-        "gamma0": _f12(result.schedule["gamma0"]),
-        "gamma1": _f12(result.schedule["gamma1"]),
-        "iterations": result.schedule["iterations"],
-        "mode": result.schedule["mode"],
-    }
-    obj["version"] = result.version
-    return json.dumps(obj, indent=2) + "\n"
+    """Render a result as JSON, by one rule for every field.
+
+    The JSON is asdict(result) with its keys in field order, every float
+    at 12 significant digits, and every field that is None left out, so
+    write -> parse -> write is byte-identical.
+    """
+    return json.dumps(_canonical(asdict(result)), indent=2) + "\n"
 
 
 def parse_result(text: str) -> SolveResult:
+    """Read write_result's JSON; any other layout, or a missing or unknown key, raises FormatError."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed result JSON: {exc}") from exc
-    starts = tuple(
-        StartRecord(
-            start=s["start"],
-            objective=float(s["objective"]),
-            valid=bool(s["valid"]),
-            maximal=bool(s["maximal"]),
-            iterations=int(s["iterations"]),
-            wall_time_ms=float(s["wall_time_ms"]),
-        )
-        for s in obj["starts"]
-    )
-    return SolveResult(
-        instance=obj["instance"],
-        n=int(obj["n"]),
-        edges=int(obj["edges"]),
-        starts=starts,
-        best_objective=float(obj["best_objective"]),
-        schedule=obj["schedule"],
-        reference_objective=obj.get("reference_objective"),
-        gap_percent=obj.get("gap_percent"),
-        version=obj.get("version", FORMAT_VERSION),
-    )
+        return SolveResult(**{**obj, "starts": tuple(StartRecord(**s) for s in obj["starts"])})
+    except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
+        raise FormatError(f"malformed result JSON: {exc!r}") from exc
 
 
 def read_reference_csv(text: str) -> dict[str, float]:
     """Two-column CSV (instance name, best-known objective) -> lookup table."""
-    import csv
-    import io as _io
-
     table: dict[str, float] = {}
-    for row in csv.reader(_io.StringIO(text)):
+    for row in csv.reader(StringIO(text)):
         if not row or not "".join(row).strip():
             continue
         if len(row) < 2:
@@ -467,5 +437,7 @@ def read_reference_csv(text: str) -> dict[str, float]:
             if not table and name.lower() in ("instance", "name"):
                 continue  # header row
             raise FormatError(f"cannot parse reference objective in {row!r}")
+        if not math.isfinite(value):
+            raise FormatError(f"reference objective must be finite in {row!r}")
         table[name] = value
     return table

@@ -7,6 +7,7 @@ local minima of the quadratic form on the weight-tilted simplex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,8 +215,8 @@ def correspondence_check(
     """
     if g.n > CORRESPONDENCE_LIMIT:
         raise ValueError(f"correspondence check supports n <= {CORRESPONDENCE_LIMIT}")
-    if gamma <= 1.0:
-        raise ValueError("correspondence check requires gamma > 1")
+    if not 1.0 < gamma < math.inf:
+        raise ValueError("correspondence check requires a finite gamma > 1")
     if perturbations < 0:
         raise ValueError("perturbations must be nonnegative")
     rng = np.random.default_rng(seed)

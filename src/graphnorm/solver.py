@@ -27,13 +27,16 @@ from .graph import WeightedGraph
 from .io import SolveResult, StartRecord, make_result
 
 
+_PURSUIT = GammaSchedule.pursuit()
+
+
 @dataclass
 class RunConfig:
-    """Knobs of a solve run; defaults follow the standard pursuit protocol."""
+    """Knobs of a solve run; the schedule defaults are GammaSchedule.pursuit()'s."""
 
-    gamma0: float = 0.9
-    gamma1: float = 1.5
-    iterations: int = 1000
+    gamma0: float = _PURSUIT.gamma0
+    gamma1: float = _PURSUIT.gamma1
+    iterations: int = _PURSUIT.iterations
     starts: int = 16
     seed: int = 0
     trace: bool = False

@@ -453,8 +453,8 @@ def tangent_probes(g, members, count, rng):
 
 def mis_stability(g, m, gamma) -> float:
     """gamma times the min over outside vertices of an np.sum over its member neighbours."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     members = np.asarray(m.members, dtype=np.int64)
     if not is_maximal_independent(g, members):
         raise ValueError("solution is not a maximal independent set")

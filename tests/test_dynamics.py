@@ -192,6 +192,13 @@ def test_schedule_validation():
     assert GammaSchedule(1.2, 1.2, 1).mode == "constant"
 
 
+@pytest.mark.parametrize("gamma0, gamma1", [(0.9, math.inf), (math.inf, math.inf)])
+def test_schedule_rejects_non_finite_gamma(gamma0, gamma1):
+    # with gamma1 = inf the linear schedule's step-0 gamma is 0 * inf + 0.9 = NaN
+    with pytest.raises(ValueError, match="finite"):
+        GammaSchedule(gamma0, gamma1, 10)
+
+
 def test_run_wrgn_k2_uniform_binarizes(k2_uniform):
     x, _ = run_wrgn(k2_uniform, np.array([0.6, 0.4]), GammaSchedule.constant(1.5, 300))
     np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-6)

@@ -162,6 +162,94 @@ def test_result_roundtrip_byte_identical():
     assert write_result(parse_result(text2)) == text2
 
 
+TOY_HEAD = """{
+  "instance": "k2",
+  "n": 2,
+  "edges": 1,
+  "starts": [
+    {
+      "start": "seed-0.0",
+      "objective": 4.0,
+      "valid": true,
+      "maximal": true,
+      "iterations": 1000,
+      "wall_time_ms": 12.5
+    },
+    {
+      "start": "seed-0.1",
+      "objective": 1.0,
+      "valid": true,
+      "maximal": true,
+      "iterations": 1000,
+      "wall_time_ms": 11.25
+    }
+  ],
+  "best_objective": 4.0,
+"""
+TOY_TAIL = """  "schedule": {
+    "gamma0": 0.9,
+    "gamma1": 1.5,
+    "iterations": 1000,
+    "mode": "linear"
+  },
+  "version": "0.1.0"
+}
+"""
+
+
+def test_result_text_is_pinned():
+    with_reference = '  "reference_objective": 4.0,\n  "gap_percent": 0.0,\n'
+    assert write_result(_toy_result(4.0)) == TOY_HEAD + with_reference + TOY_TAIL
+    assert write_result(_toy_result()) == TOY_HEAD + TOY_TAIL
+
+
+def test_result_int_inputs_render_as_floats():
+    starts = [StartRecord("seed-0.0", 4, True, True, 10, 3)]
+    schedule = {"gamma0": 1.0, "gamma1": 2.0, "iterations": 10, "mode": "linear"}
+    text = write_result(make_result("k2", build_graph(2, [(0, 1)], [4, 1]), starts, schedule, 95))
+    assert '"objective": 4.0,' in text and '"wall_time_ms": 3.0\n' in text
+    assert '"reference_objective": 95.0,' in text
+
+
+_floats = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
+_starts = st.builds(StartRecord, st.text(max_size=8), _floats, st.booleans(), st.booleans(), st.integers(0, 10**6), _floats)
+
+
+@given(
+    st.lists(_starts, max_size=3),
+    st.one_of(st.none(), _floats),
+    st.tuples(_floats, _floats, st.integers(1, 10**6)),
+    st.booleans(),
+)
+def test_result_roundtrip_property(starts, reference, gammas, constant):
+    gamma0, gamma1, iterations = gammas
+    schedule = {
+        "gamma0": gamma0,
+        "gamma1": gamma0 if constant else gamma1,
+        "iterations": iterations,
+        "mode": "constant" if constant else "linear",
+    }
+    g = build_graph(2, [(0, 1)], [4.0, 1.0])
+    text = write_result(make_result("k2", g, starts, schedule, reference))
+    assert write_result(parse_result(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        "{}",
+        "not json",
+        TOY_HEAD.replace('      "objective": 4.0,\n', "", 1) + TOY_TAIL,
+        TOY_HEAD + '  "note": "extra",\n' + TOY_TAIL,
+    ],
+    ids=["array", "empty-object", "not-json", "start-without-objective", "unknown-key"],
+)
+def test_parse_result_rejects_other_layouts(text):
+    with pytest.raises(FormatError, match="malformed result JSON"):
+        parse_result(text)
+
+
 def test_result_float_rendering():
     res = _toy_result(reference=3.0)
     text = write_result(res)
@@ -174,3 +262,10 @@ def test_reference_csv():
     assert table == {"k2": 4.0, "big": 1234.5}
     with pytest.raises(FormatError):
         read_reference_csv("k2,notanumber\n")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+def test_reference_csv_rejects_non_finite(value):
+    # an infinite reference wrote "reference_objective": Infinity, which is not JSON
+    with pytest.raises(FormatError, match=f"g0.*{value}"):
+        read_reference_csv(f"k2,4\ng0,{value}\n")

@@ -1,5 +1,6 @@
 """Differential tests: the package's array code against the loop references."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -465,7 +466,7 @@ def test_mis_stability_matches_reference_many_member_neighbours(leaves):
 
 
 def test_mis_stability_errors_match_reference(p3_uniform):
-    for members, gamma in (([1], 0.0), ([0], 1.5), ([0, 1], 1.5)):
+    for members, gamma in (([1], 0.0), ([1], math.inf), ([0], 1.5), ([0, 1], 1.5)):
         sol = MisSolution.from_members(p3_uniform, members)
         with pytest.raises(ValueError) as got:
             mis_stability(p3_uniform, sol, gamma)

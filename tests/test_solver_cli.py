@@ -299,6 +299,43 @@ def test_cli_oracle_rejects_negative_perturbations(k2_file, capsys):
     assert "perturbations must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "K2", "--gamma1", "inf"],
+        ["solve", "K2", "--gamma0", "inf", "--gamma1", "inf"],
+        ["oracle", "K2", "--gamma", "inf"],
+        ["verify", "K2", "SOL", "--gamma", "inf"],
+    ],
+    ids=["solve-gamma1", "solve-both", "oracle", "verify"],
+)
+def test_cli_rejects_non_finite_gamma(k2_file, tmp_path, capsys, argv):
+    # at gamma = inf, solve fell back on every entry and exited 3, oracle printed q nan
+    sol = tmp_path / "sol.txt"
+    sol.write_text("0\n")
+    argv = [{"K2": str(k2_file), "SOL": str(sol)}.get(arg, arg) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err and captured.out == ""
+
+
+def test_cli_solve_rejects_non_finite_reference(k2_file, tmp_path, capsys):
+    # the row for an instance named g0 would write "reference_objective": Infinity,
+    # which is not JSON; any such row is an input error, whichever instance runs
+    refs = tmp_path / "refs.csv"
+    refs.write_text("k2,4\ng0,inf\n")
+    out = tmp_path / "res.json"
+    assert main(["solve", str(k2_file), "--reference", str(refs), "--output", str(out)]) == 2
+    assert "g0" in capsys.readouterr().err and not out.exists()
+
+
+def test_result_renders_int_inputs_as_floats(k2_heavy):
+    config = RunConfig(gamma0=1, gamma1=2, starts=1, iterations=50)
+    text = write_result(solve_instance(k2_heavy, "k2", config, reference_objective=95)[0])
+    assert '"gamma0": 1.0,\n    "gamma1": 2.0,' in text
+    assert '"reference_objective": 95.0,' in text
+
+
 def test_cli_bench(tmp_path, capsys):
     (tmp_path / "k2.mwis").write_text(K2_TEXT)
     g = build_graph(3, [(0, 1), (1, 2)], [1.0, 3.0, 1.0])
