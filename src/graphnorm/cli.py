@@ -98,10 +98,12 @@ def cmd_solve(args) -> int:
         table = read_reference_csv(Path(args.reference).read_text())
         reference = table.get(name)
     result, stats = solve_instance(g, name, config, warm, reference)
-    _emit(write_result(result), args.output)
+    text = write_result(result)  # both texts render before either file is written
     if args.trace:
         payload = {sid: asdict(trace) for sid, trace in stats.traces.items()}
-        Path(args.output + ".trace.json").write_text(json.dumps(payload, indent=2) + "\n")
+        trace_text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        Path(args.output + ".trace.json").write_text(trace_text)
+    _emit(text, args.output)
     return exit_code_for(result, stats)
 
 

@@ -101,9 +101,9 @@ def build_graph(
 
     edges is any sequence of (u, v) pairs or a (k, 2) integer array.
     Duplicate edges and both orientations of the same edge are merged.
-    Raises GraphError on self-loops, out-of-range indices, or weights
-    that are missing, non-positive, or non-finite; an edge error names
-    the first bad edge in input order.
+    Raises GraphError on self-loops, out-of-range indices, weights that
+    are missing, non-positive, or non-finite, or a weight total that is not
+    finite; an edge error names the first bad edge in input order.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
@@ -113,6 +113,10 @@ def build_graph(
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         bad = int(np.argmin(np.where(np.isfinite(w), w, -np.inf)))
         raise GraphError(f"weight of vertex {bad} must be positive and finite, got {w[bad]}")
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not np.isfinite(total):
+        raise GraphError("total weight overflows float64, so objectives would not be finite")
 
     e = np.asarray(edges, dtype=np.int64)
     if e.size == 0:

@@ -408,9 +408,10 @@ def write_result(result: SolveResult) -> str:
 
     The JSON is asdict(result) with its keys in field order, every float
     at 12 significant digits, and every field that is None left out, so
-    write -> parse -> write is byte-identical.
+    write -> parse -> write is byte-identical.  A float that is not finite
+    has no JSON form and raises ValueError.
     """
-    return json.dumps(_canonical(asdict(result)), indent=2) + "\n"
+    return json.dumps(_canonical(asdict(result)), indent=2, allow_nan=False) + "\n"
 
 
 def parse_result(text: str) -> SolveResult:

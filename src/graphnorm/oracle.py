@@ -49,9 +49,6 @@ def brute_force_mwis(g: WeightedGraph) -> MisSolution:
     n = g.n
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force supports n <= {BRUTE_FORCE_LIMIT}, got {n}")
-    if n == 0:
-        return MisSolution.from_members(g, [])
-
     order = sorted(range(n), key=lambda i: (-g.w[i], i))
     pos_of = {orig: pos for pos, orig in enumerate(order)}
     wp = [float(g.w[orig]) for orig in order]
@@ -105,8 +102,6 @@ def enumerate_mises(g: WeightedGraph) -> list[MisSolution]:
     n = g.n
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration supports n <= {ENUMERATION_LIMIT}, got {n}")
-    if n == 0:
-        return [MisSolution.from_members(g, [])]
     nbr = _neighbor_masks(g)
     results: list[int] = []
 

@@ -1,11 +1,9 @@
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 
-import graphnorm.analysis
 from graphnorm import (
     GammaSchedule,
     MisSolution,
@@ -120,16 +118,16 @@ def test_jacobian_matches_inverse_stability():
         assert rho == pytest.approx(1.0 / stab, abs=1e-8)
 
 
-def test_jacobian_power_iteration_path():
-    g = erdos_renyi(30, 0.2, [55, 1])
-    opt = brute_force_mwis(g)
-    x = np.zeros(g.n)
-    x[list(opt.members)] = 1.0
-    dense = jacobian_spectral_radius(g, x, 1.5)
-    with mock.patch.object(graphnorm.analysis, "DENSE_LIMIT", 0):
-        upper = jacobian_spectral_radius(g, x, 1.5)
-    # singular-value bound dominates the radius
-    assert upper >= dense - 1e-9
+@pytest.mark.parametrize("n", [513, 600])
+def test_jacobian_exact_above_512(n):
+    # above 512 vertices the radius is still the exact one, 1/stab at an MIS
+    g = erdos_renyi(n, 0.01, [77, n])
+    sol = round_to_mis(g, np.zeros(n))
+    x = np.zeros(n)
+    x[list(sol.members)] = 1.0
+    gamma = 1.5
+    rho = jacobian_spectral_radius(g, x, gamma)
+    assert rho == pytest.approx(1.0 / mis_stability(g, sol, gamma), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

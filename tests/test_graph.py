@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +43,15 @@ def test_bad_weights_rejected():
         build_graph(2, [(0, 1)], [1, float("nan")])
     with pytest.raises(GraphError):
         build_graph(2, [(0, 1)], [1])
+
+
+def test_weight_total_must_be_finite():
+    # each weight is finite, but an objective summing both would be inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphError, match="total weight"):
+            build_graph(2, [], [1e308, 1e308])
+    assert build_graph(2, [(0, 1)], [1e308, 7e307]).w.sum() == 1.7e308
 
 
 def test_out_of_range_edge_rejected():

@@ -62,6 +62,14 @@ def test_enumerate_k1():
     assert [s.members for s in enumerate_mises(g)] == [(0,)]
 
 
+def test_oracle_empty_graph():
+    g = build_graph(0, [], [])
+    empty = brute_force_mwis(g)
+    assert empty.members == () and empty.weight == 0.0
+    assert empty.independent and empty.maximal
+    assert enumerate_mises(g) == [empty]
+
+
 def test_enumerate_matches_subset_scan():
     rng = np.random.default_rng(6)
     for k in range(80):

@@ -329,6 +329,28 @@ def test_cli_solve_rejects_non_finite_reference(k2_file, tmp_path, capsys):
     assert "g0" in capsys.readouterr().err and not out.exists()
 
 
+def test_cli_solve_rejects_overflowing_weight_total(tmp_path, capsys):
+    # each objective would be 2e308, written as "objective": Infinity
+    inst = tmp_path / "big.mwis"
+    inst.write_text("p mwis 2 0\nn 1 1e308\nn 2 1e308\n")
+    out = tmp_path / "res.json"
+    assert main(["solve", str(inst), "--output", str(out)]) == 2
+    assert "total weight" in capsys.readouterr().err and not out.exists()
+
+
+def test_cli_solve_rejects_overflowing_gap(tmp_path, capsys):
+    # best 1e300 against reference 1e-300 gives gap -inf, which has no JSON form
+    inst = tmp_path / "big.mwis"
+    inst.write_text("p mwis 2 1\nn 1 1e300\nn 2 1\ne 1 2\n")
+    refs = tmp_path / "refs.csv"
+    refs.write_text("big,1e-300\n")
+    out = tmp_path / "res.json"
+    argv = ["solve", str(inst), "--reference", str(refs), "--output", str(out), "--trace"]
+    assert main(argv + ["--starts", "2", "--iterations", "50"]) == 2
+    assert "JSON" in capsys.readouterr().err
+    assert not out.exists() and not Path(str(out) + ".trace.json").exists()
+
+
 def test_result_renders_int_inputs_as_floats(k2_heavy):
     config = RunConfig(gamma0=1, gamma1=2, starts=1, iterations=50)
     text = write_result(solve_instance(k2_heavy, "k2", config, reference_objective=95)[0])
