@@ -119,90 +119,111 @@ def _is_connected(adj: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _solve_exact(B: list[list[Fraction]], rhs: list[Fraction]):
-    """RREF of the square system [B | rhs] over the rationals.
+def _solve_exact(B: list[list[int]], rhs: list[int]):
+    """Fraction-free Gauss-Jordan of the square integer system [B | rhs].
 
-    Returns (consistent, particular, kernel_basis); the solution is unique
-    iff the system is consistent and the kernel basis is empty.
+    Each row update is p * row - f * pivot_row, divided by the gcd of its
+    entries, so every number stays an exact Python int.  Returns
+    (consistent, P, K, L): the solutions are x = (P + K z) / L over all
+    rational z, where P is the particular solution with the free
+    variables at 0, each kernel vector in K sets one free variable to L,
+    and L > 0 is the least common multiple of the pivots.  The solution is
+    unique iff the system is consistent and K is empty.
     """
     n = len(B)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(B)]
+    aug = [row + [b] for row, b in zip(B, rhs)]
     pivots: list[int] = []
     r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        pivot = next((i for i in range(r, n) if aug[i][c]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [a / pv for a in aug[r]]
+        top = aug[r]
+        p = top[c]
         for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+            f = aug[i][c]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(aug[i], top)]
+                g = math.gcd(*row)
+                aug[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == n:
             break
-    consistent = all(
-        aug[i][n] == 0 for i in range(r, n)
-    )  # rows below rank must be fully zero
-    particular = [Fraction(0)] * n
+    # rows below the rank have zero coefficients; they must have zero rhs
+    consistent = all(aug[i][n] == 0 for i in range(r, n))
+    L = math.lcm(*(aug[row][c] for row, c in enumerate(pivots)))
+    scale = [L // aug[row][c] for row, c in enumerate(pivots)]
+    P = [0] * n
     for row, c in enumerate(pivots):
-        particular[c] = aug[row][n]
-    free = [c for c in range(n) if c not in pivots]
-    kernel = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
+        P[c] = aug[row][n] * scale[row]
+    K = []
+    for f in (c for c in range(n) if c not in pivots):
+        vec = [0] * n
+        vec[f] = L
         for row, c in enumerate(pivots):
-            vec[c] = -aug[row][f]
-        kernel.append(vec)
-    return consistent, particular, kernel
+            vec[c] = -aug[row][f] * scale[row]
+        K.append(vec)
+    return consistent, P, K, L
 
 
-def _positive_point(particular, kernel):
+def _positive_point(particular, kernel, denominator):
     """Exact strictly positive solution of B x = 1, or None.
 
-    Solutions are x = x_p + N z, and the nonnegative ones form the polytope
-    Q = {z : x_p + N z >= 0}.  Q is bounded: B = A + I has nonnegative
-    entries and a unit diagonal, so x >= 0 gives x_i <= (Bx)_i = 1, and N
-    has full column rank.  All vertices of Q are enumerated exactly, each
-    the unique solution of d of its n rows held tight.  Each coordinate x_i
-    is affine and nonnegative on Q, hence it vanishes at the vertex
-    centroid iff it vanishes on all of Q; the centroid therefore decides
-    strict positivity and doubles as the witness.  With an empty kernel Q
-    is one point and the witness is x_p itself.
+    Solutions are x = (P + K z) / L with P = particular, K = kernel and
+    L = denominator as _solve_exact returns them, and the nonnegative ones
+    form the polytope Q = {z : P + K z >= 0}.  Q is bounded: B = A + I has
+    nonnegative entries and a unit diagonal, so x >= 0 gives
+    x_i <= (Bx)_i = 1, and K has full column rank.  All vertices of Q are
+    enumerated exactly, each the unique solution of d of its n rows held
+    tight, solved by _solve_exact and tested by integer cross-multiplication;
+    each vertex is kept in x-space as a gcd-reduced integer tuple.  Each
+    coordinate x_i is affine and nonnegative on Q, hence it vanishes at the
+    vertex centroid iff it vanishes on all of Q; the centroid therefore
+    decides strict positivity and doubles as the witness.  It does not
+    depend on how K is scaled, and it is the only place Fractions are
+    built.  With an empty kernel Q is one point and the witness is P / L.
     """
     d = len(kernel)
     n = len(particular)
-    # x_i >= 0 as a . z <= b with a = -N_i, b = x_p,i
-    rows = [([-kernel[k][i] for k in range(d)], particular[i]) for i in range(n)]
+    # x_i = 0 held tight as row i of K z = -P
+    rows = [[kernel[k][i] for k in range(d)] for i in range(n)]
     vertices = set()
-    for combo in combinations(rows, d):
-        consistent, z, null = _solve_exact([a for a, _ in combo], [b for _, b in combo])
+    for combo in combinations(range(n), d):
+        consistent, z, null, scale = _solve_exact(
+            [rows[i] for i in combo], [-particular[i] for i in combo]
+        )
         if not consistent or null:
             continue
-        if all(sum(ak * zk for ak, zk in zip(a, z)) <= b for a, b in rows):
-            vertices.add(tuple(z))
+        # the vertex is z / scale; num is L * scale * x there, so x >= 0
+        # (the vertex lies in Q) iff num >= 0
+        num = [
+            particular[i] * scale + sum(a * zk for a, zk in zip(rows[i], z))
+            for i in range(n)
+        ]
+        if all(a >= 0 for a in num):
+            den = denominator * scale
+            g = math.gcd(den, *num)
+            vertices.add((den // g, *(a // g for a in num)))
     if not vertices:
         return None
-    center = [
-        sum(v[k] for v in vertices) / len(vertices) for k in range(d)
-    ]
-    x = [
-        particular[i] + sum(kernel[k][i] * center[k] for k in range(d))
-        for i in range(n)
-    ]
-    if all(xi > 0 for xi in x):
-        return x
+    den = math.lcm(*(v[0] for v in vertices))
+    sums = [0] * n
+    for v in vertices:
+        m = den // v[0]
+        for i in range(n):
+            sums[i] += v[i + 1] * m
+    if all(s > 0 for s in sums):
+        return [Fraction(s, den * len(vertices)) for s in sums]
     return None
 
 
 def atom_spectrum(adjacency) -> SpectrumClassification:
     """Classify the full-support fixed points of the unweighted map.
 
-    Solves (A + I) x = 1, x > 0 with exact rational arithmetic.  The
+    Solves (A + I) x = 1, x > 0 exactly, in Python-int arithmetic
+    (_solve_exact); Fractions are built only for the witness.  The
     solution set meets the positive orthant iff the centroid of the
     vertices of its nonnegative part is strictly positive (a single point
     when the system is nonsingular); the kind is discrete for a unique
@@ -223,12 +244,11 @@ def atom_spectrum(adjacency) -> SpectrumClassification:
     regular = bool(np.all(degs == degs[0]))
 
     B = [
-        [Fraction(int(adj[i, j]) + (1 if i == j else 0)) for j in range(n)]
-        for i in range(n)
+        [int(a) + (i == j) for j, a in enumerate(row)]
+        for i, row in enumerate(adj.tolist())
     ]
-    rhs = [Fraction(1)] * n
-    consistent, particular, kernel = _solve_exact(B, rhs)
-    witness = _positive_point(particular, kernel) if consistent else None
+    consistent, particular, kernel, denominator = _solve_exact(B, [1] * n)
+    witness = _positive_point(particular, kernel, denominator) if consistent else None
     if witness is None:
         return SpectrumClassification(SpectrumKind.EMPTY, None, 0, regular)
     if regular:

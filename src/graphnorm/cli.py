@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -195,12 +196,22 @@ def cmd_bench(args) -> int:
             continue
         reference = references.get(name)
         result, stats = solve_instance(g, name, config, None, reference)
-        if out_dir:
-            (out_dir / f"{name}.json").write_text(write_result(result))
-        mean_ms = sum(s.wall_time_ms for s in result.starts) / len(result.starts)
+        egap = None
         if result.gap_percent is not None:
             gaps = [SolveResult.gap_of(reference, s.objective) for s in result.starts]
             egap = sum(gaps) / len(gaps)
+            if not (math.isfinite(egap) and math.isfinite(result.gap_percent)):
+                # like a parse error: an input error row, no result file
+                rows.append(
+                    f"{name:>20}  gap error: best {result.best_objective:.12g} against "
+                    f"reference {reference:.12g} gives a non-finite gap"
+                )
+                exit_code = max(exit_code, EXIT_INPUT_ERROR)
+                continue
+        if out_dir:
+            (out_dir / f"{name}.json").write_text(write_result(result))
+        mean_ms = sum(s.wall_time_ms for s in result.starts) / len(result.starts)
+        if egap is not None:
             egaps.append(egap)
             best_gaps.append(result.gap_percent)
             rows.append(

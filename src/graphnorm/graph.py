@@ -5,16 +5,20 @@ The adjacency has one store: a scipy CSR matrix of ones whose row
 neighbor lists are sorted ascending.  Its index arrays are int32
 whenever the graph fits, as scipy would choose, and ``indptr``/``indices`` are
 those same arrays, read-only, not copies.  The square roots of the weights
-are cached because the dynamics use them on every step.
+are cached because the dynamics use them on every step.  scipy is imported
+by the first graph built, so code that builds none (the atomic census)
+never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class GraphError(ValueError):
@@ -38,6 +42,8 @@ class WeightedGraph:
     __slots__ = ("n", "indptr", "indices", "w", "v", "_adj")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, w: np.ndarray):
+        import scipy.sparse as sp
+
         self.n = int(n)
         data = np.ones(len(indices), dtype=np.float64)
         self._adj = sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))

@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from graphnorm.analysis import SpectrumClassification, SpectrumKind, _solve_exact
+from graphnorm.analysis import SpectrumClassification, SpectrumKind
 from graphnorm.dynamics import init_random, init_warm, run_wrgn
 from graphnorm.graph import GraphError, MisSolution, WeightedGraph
 from graphnorm.io import FormatError, StartRecord, make_result
@@ -340,7 +340,46 @@ def write_graph6(adj):
 
 
 # ---------------------------------------------------------------------------
-# Exact layer: the boxed polytope, a square solver, a per-probe loop
+# Exact layer: a rational RREF, the boxed polytope, a square solver, a per-probe loop
+
+
+def solve_exact(B, rhs):
+    """RREF of the square system [B | rhs] over the rationals.
+
+    Returns (consistent, particular, kernel_basis); the solution is unique
+    iff the system is consistent and the kernel basis is empty.
+    """
+    n = len(B)
+    aug = [[Fraction(a) for a in row] + [Fraction(rhs[i])] for i, row in enumerate(B)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][c]
+        aug[r] = [a / pv for a in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    consistent = all(aug[i][n] == 0 for i in range(r, n))
+    particular = [Fraction(0)] * n
+    for row, c in enumerate(pivots):
+        particular[c] = aug[row][n]
+    kernel = []
+    for f in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for row, c in enumerate(pivots):
+            vec[c] = -aug[row][f]
+        kernel.append(vec)
+    return consistent, particular, kernel
 
 
 def solve_square(M, rhs):
@@ -399,7 +438,7 @@ def atom_spectrum(adj) -> SpectrumClassification:
         [Fraction(int(adj[i, j]) + (1 if i == j else 0)) for j in range(n)]
         for i in range(n)
     ]
-    consistent, particular, kernel = _solve_exact(B, [Fraction(1)] * n)
+    consistent, particular, kernel = solve_exact(B, [Fraction(1)] * n)
     if not consistent:
         return SpectrumClassification(SpectrumKind.EMPTY, None, 0, regular)
     if not kernel:

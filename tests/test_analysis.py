@@ -192,13 +192,15 @@ def test_positive_point_is_the_vertex_centroid():
     # x = (z1, z1, 1 + z2, 1 - z1 - z2): a triangle with vertices (0, -1),
     # (0, 1), (2, -1); the duplicated row x_1 = x_2 makes singular candidates
     F = Fraction
-    particular = [F(0), F(0), F(1), F(1)]
-    kernel = [[F(1), F(1), F(0), F(-1)], [F(0), F(0), F(1), F(-1)]]
-    assert _positive_point(particular, kernel) == [F(2, 3)] * 4
+    particular = [0, 0, 1, 1]
+    kernel = [[1, 1, 0, -1], [0, 0, 1, -1]]
+    assert _positive_point(particular, kernel, 1) == [F(2, 3)] * 4
+    # the same triangle as x = (P + K z) / 3: the centroid ignores the scale
+    assert _positive_point([0, 0, 3, 3], kernel, 3) == [F(2, 3)] * 4
     # an empty kernel leaves one point, kept only when strictly positive
-    assert _positive_point([F(1, 2), F(1, 3)], []) == [F(1, 2), F(1, 3)]
-    assert _positive_point([F(1, 2), F(0)], []) is None
-    assert _positive_point([F(1, 2), F(-1)], []) is None
+    assert _positive_point([3, 2], [], 6) == [F(1, 2), F(1, 3)]
+    assert _positive_point([1, 0], [], 2) is None
+    assert _positive_point([1, -2], [], 2) is None
 
 
 def test_atom_witness_solves_equation_exactly():

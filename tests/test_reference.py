@@ -1,6 +1,7 @@
 """Differential tests: the package's array code against the loop references."""
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from graphnorm import (
     is_maximal_independent,
     round_to_mis,
 )
-from graphnorm.analysis import _is_connected, atom_spectrum, mis_stability
+from graphnorm.analysis import _is_connected, _solve_exact, atom_spectrum, mis_stability
 from graphnorm.enumeration import canonical_form, connected_graphs_upto
 from graphnorm.io import (
     FormatError,
@@ -352,9 +353,45 @@ def _spectrum_matches_reference(adj):
 
 
 def test_atom_spectrum_matches_reference_all_small():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for adj in connected_graphs_upto(n):
             _spectrum_matches_reference(adj)
+
+
+@st.composite
+def integer_systems(draw, max_n=5):
+    """A square integer system: full rank, singular, or singular but consistent.
+
+    Entries are small and signed, so negative pivots are common; a singular
+    draw replaces one row by an integer combination of the others.
+    """
+    n = draw(st.integers(0, max_n))
+
+    def vector():
+        return np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=np.int64)
+
+    M = np.array([vector() for _ in range(n)], dtype=np.int64).reshape(n, n)
+    rhs = vector()
+    if n >= 2 and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        coef = vector()
+        coef[j] = 0
+        M[j] = coef @ M
+        if draw(st.booleans()):
+            rhs = M @ vector()
+    return M.tolist(), rhs.tolist()
+
+
+@given(integer_systems())
+def test_integer_solver_matches_rational_reference(system):
+    B, rhs = system
+    consistent, P, K, L = _solve_exact(B, rhs)
+    want_consistent, want_particular, want_kernel = reference.solve_exact(B, rhs)
+    assert consistent == want_consistent
+    assert len(K) == len(want_kernel)  # same rank
+    assert L > 0
+    assert [Fraction(p, L) for p in P] == want_particular
+    assert [[Fraction(k, L) for k in vec] for vec in K] == want_kernel
 
 
 def _tree_plus_edges(draw, n):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -258,6 +261,22 @@ def test_cli_atoms_builtin(capsys):
     assert "21" in out and "4" in out
 
 
+def test_cli_atoms_never_imports_scipy():
+    # the census builds no WeightedGraph; a stray top-level scipy import
+    # would cost every cold census call its import time
+    code = (
+        "import sys, graphnorm.cli\n"
+        "assert graphnorm.cli.main(['atoms', '--n', '5', '--cumulative']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "19.0%" in done.stdout
+
+
 @pytest.mark.parametrize("n", ["0", "8"])
 def test_cli_atoms_cumulative_rejects_order(n, capsys):
     with mock.patch("graphnorm.enumeration.atom_spectrum") as spectrum:
@@ -384,6 +403,24 @@ def test_cli_bench(tmp_path, capsys):
     assert "0.00%" in out
     assert (results / "k2.json").exists() and (results / "p3.json").exists()
     assert parse_result((results / "p3.json").read_text()).best_objective == 3.0
+
+
+def test_cli_bench_overflowing_gap_is_an_input_error_row(tmp_path, capsys):
+    # best 1e300 against reference 1e-300 gives gap -inf: that instance gets
+    # an error row and no result file, and the sweep goes on to the next
+    (tmp_path / "big.mwis").write_text("p mwis 2 1\nn 1 1e300\nn 2 1\ne 1 2\n")
+    (tmp_path / "k2.mwis").write_text(K2_TEXT)
+    refs = tmp_path / "refs.csv"
+    refs.write_text("big,1e-300\nk2,4\n")
+    results = tmp_path / "results"
+    argv = ["bench", str(tmp_path), "--reference", str(refs), "--results-dir", str(results)]
+    assert main(argv + ["--starts", "2", "--iterations", "150"]) == 2
+    out = capsys.readouterr().out
+    assert "big  gap error: best 1e+300 against reference 1e-300 gives a non-finite gap" in out
+    assert "inf" not in out.replace("1e+300", "")
+    assert "aggregate" in out and "0.00%" in out
+    assert not (results / "big.json").exists()
+    assert parse_result((results / "k2.json").read_text()).best_objective == 4.0
 
 
 def test_cli_bench_empty_dir(tmp_path, capsys):
