@@ -104,19 +104,19 @@ class SpectrumClassification:
 
 
 def _is_connected(adj: np.ndarray) -> bool:
+    """Reachability from vertex 0 by repeated squaring of I + A, as booleans.
+
+    After k squarings the matrix marks every pair joined by a walk of
+    length at most 2^k, so ceil(log2(n - 1)) products reach every path.
+    The empty graph is not connected.
+    """
     n = adj.shape[0]
     if n == 0:
         return False
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for w_ in np.flatnonzero(adj[u]):
-            if not seen[w_]:
-                seen[w_] = True
-                stack.append(int(w_))
-    return bool(seen.all())
+    reach = (adj != 0) | np.eye(n, dtype=bool)
+    for _ in range((n - 2).bit_length() if n > 1 else 0):
+        reach = reach @ reach
+    return bool(reach[0].all())
 
 
 def _solve_exact(B: list[list[int]], rhs: list[int]):

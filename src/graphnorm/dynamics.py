@@ -85,7 +85,10 @@ class SolveTrace:
     mass series are filled only when the run records a full trace:
     energy[k] is the post-step state at gamma[k] and pre_energy[k] the
     pre-step state at the same gamma, so per-step descent is checkable
-    even under a moving schedule.
+    even under a moving schedule.  Both are read from the products
+    y = v*x and A@y a step computes anyway: pre_energy[k] from step k's,
+    energy[k] from step k+1's, and the last energy from one extra
+    product.  Each equals energy() on its state, bit for bit.
     """
 
     gamma: list[float] = field(default_factory=list)
@@ -103,10 +106,20 @@ class SolveTrace:
         return len(self.gamma)
 
 
-def _step(g: WeightedGraph, x: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
-    """One normalization step; returns (new state, fallback count)."""
+def _products(g: WeightedGraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted state y = v*x and its neighbour sums A@y."""
     y = g.v * x
-    d = y + gamma * (g.adjacency() @ y)
+    return y, g.adjacency() @ y
+
+
+def _energy(g: WeightedGraph, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamma: float) -> float:
+    """Energy of x at gamma from its products (y, ay)."""
+    return float(0.5 * (y @ y + gamma * (y @ ay)) - g.w @ x)
+
+
+def _step(g: WeightedGraph, y: np.ndarray, ay: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
+    """One normalization step from a state's products; returns (new state, fallback count)."""
+    d = y + gamma * ay
     ok = d > 0.0
     out = np.where(ok, y / np.where(ok, d, 1.0), FALLBACK_VALUE)
     return out, int(g.n - np.count_nonzero(ok))
@@ -119,7 +132,7 @@ def gn_step(g: WeightedGraph, x: np.ndarray, gamma: float) -> np.ndarray:
     denominator is exactly 0, outside the map's domain, are set to the
     fallback value 0.5 instead of raising.
     """
-    out, _ = _step(g, np.asarray(x, dtype=np.float64), float(gamma))
+    out, _ = _step(g, *_products(g, np.asarray(x, dtype=np.float64)), float(gamma))
     return out
 
 
@@ -156,32 +169,28 @@ def run_wrgn(
 
     trace = SolveTrace()
     final_gamma = schedule.final_gamma
-    prev_gamma = None
-    prev_energy = None
     for k in range(schedule.iterations):
         gamma = schedule.gamma_at(k)
+        y, ay = _products(g, x)
         if record_trace:
-            # at unchanged gamma the pre-step energy is the previous
-            # post-step energy, bit for bit
-            if gamma == prev_gamma:
-                trace.pre_energy.append(prev_energy)
-            else:
-                trace.pre_energy.append(energy(g, x, gamma))
-        x_new, nfb = _step(g, x, gamma)
+            if k:
+                # this state is the previous step's post-step state
+                trace.energy.append(_energy(g, x, y, ay, trace.gamma[-1]))
+            trace.pre_energy.append(_energy(g, x, y, ay, gamma))
+        x_new, nfb = _step(g, y, ay, gamma)
         step_inf = float(np.max(np.abs(x_new - x))) if g.n else 0.0
         trace.gamma.append(gamma)
         trace.step_inf.append(step_inf)
         trace.fallbacks.append(nfb)
-        if record_trace:
-            prev_energy = energy(g, x_new, gamma)
-            prev_gamma = gamma
-            trace.energy.append(prev_energy)
-            trace.mass.append(weighted_mass(g, x_new))
         x = x_new
         if not np.all(np.isfinite(x)):
             raise NormalizationError(f"non-finite state at iteration {k}")
+        if record_trace:
+            trace.mass.append(weighted_mass(g, x))
         if early_exit and gamma == final_gamma and step_inf < 1e-12:
             break
+    if record_trace:
+        trace.energy.append(energy(g, x, trace.gamma[-1]))
     np.clip(x, 0.0, 1.0, out=x)
     return x, trace
 
@@ -220,9 +229,7 @@ def energy(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
     the Lyapunov function the dynamics strictly decrease at fixed gamma.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = g.v * x
-    ay = g.adjacency() @ y
-    return float(0.5 * (y @ y + gamma * (y @ ay)) - g.w @ x)
+    return _energy(g, x, *_products(g, x), gamma)
 
 
 def weighted_mass(g: WeightedGraph, x: np.ndarray) -> float:

@@ -208,6 +208,8 @@ def correspondence_check(
     PROBE_MAGNITUDE * |r|, where |r| = 1/sqrt(W).  The tolerances are
     Q_MATCH_TOL/W and DESCENT_TOL/W, so no flag depends on the weight scale.
     """
+    if g.n == 0:
+        raise ValueError("correspondence check needs at least one vertex: the empty set carries no simplex point")
     if g.n > CORRESPONDENCE_LIMIT:
         raise ValueError(f"correspondence check supports n <= {CORRESPONDENCE_LIMIT}")
     if not 1.0 < gamma < math.inf:

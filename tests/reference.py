@@ -1,4 +1,4 @@
-"""Loop reference implementations: graph layer, solver, small-graph codes, exact layer, stability.
+"""Loop reference implementations: graph layer, trajectory, solver, small-graph codes, exact layer, stability.
 
 Deliberately plain: each function is the straightforward per-vertex,
 per-line or per-bit loop the package's array code must agree with, bit
@@ -17,7 +17,16 @@ from itertools import combinations, permutations
 import numpy as np
 
 from graphnorm.analysis import SpectrumClassification, SpectrumKind
-from graphnorm.dynamics import init_random, init_warm, run_wrgn
+from graphnorm.dynamics import (
+    FALLBACK_VALUE,
+    NormalizationError,
+    SolveTrace,
+    energy,
+    init_random,
+    init_warm,
+    is_normalizable,
+    weighted_mass,
+)
 from graphnorm.graph import GraphError, MisSolution, WeightedGraph
 from graphnorm.io import FormatError, StartRecord, make_result
 from graphnorm.oracle import PROBE_MAGNITUDE
@@ -204,6 +213,55 @@ def write_instance(g, comment=None) -> str:
     for u, v in edges(g):
         lines.append(f"e {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"
+
+
+def step(g, x, gamma):
+    """One normalization step from the state itself; returns (new state, fallback count)."""
+    y = g.v * x
+    d = y + gamma * (g.adjacency() @ y)
+    ok = d > 0.0
+    out = np.where(ok, y / np.where(ok, d, 1.0), FALLBACK_VALUE)
+    return out, int(g.n - np.count_nonzero(ok))
+
+
+def run_wrgn(g, x0, schedule, record_trace=False, early_exit=False):
+    """The trajectory loop calling energy() and weighted_mass() on every traced step."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    if np.any(x < 0.0):
+        raise NormalizationError("state entries must be nonnegative")
+    if not is_normalizable(g, x):
+        raise NormalizationError("initial state has a zero closed neighborhood sum")
+
+    trace = SolveTrace()
+    final_gamma = schedule.final_gamma
+    prev_gamma = None
+    prev_energy = None
+    for k in range(schedule.iterations):
+        gamma = schedule.gamma_at(k)
+        if record_trace:
+            # at unchanged gamma the pre-step energy is the previous
+            # post-step energy, bit for bit
+            if gamma == prev_gamma:
+                trace.pre_energy.append(prev_energy)
+            else:
+                trace.pre_energy.append(energy(g, x, gamma))
+        x_new, nfb = step(g, x, gamma)
+        step_inf = float(np.max(np.abs(x_new - x))) if g.n else 0.0
+        trace.gamma.append(gamma)
+        trace.step_inf.append(step_inf)
+        trace.fallbacks.append(nfb)
+        if record_trace:
+            prev_energy = energy(g, x_new, gamma)
+            prev_gamma = gamma
+            trace.energy.append(prev_energy)
+            trace.mass.append(weighted_mass(g, x_new))
+        x = x_new
+        if not np.all(np.isfinite(x)):
+            raise NormalizationError(f"non-finite state at iteration {k}")
+        if early_exit and gamma == final_gamma and step_inf < 1e-12:
+            break
+    np.clip(x, 0.0, 1.0, out=x)
+    return x, trace
 
 
 def solve_instance(g, instance_name, config, warm_starts=None, reference_objective=None):
@@ -426,6 +484,23 @@ def positive_point(particular, kernel):
     if all(xi > 0 for xi in x):
         return x
     return None
+
+
+def is_connected(adj) -> bool:
+    """Depth-first search from vertex 0, one neighbour row at a time; False when empty."""
+    n = adj.shape[0]
+    if n == 0:
+        return False
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        u = stack.pop()
+        for w_ in np.flatnonzero(adj[u]):
+            if not seen[w_]:
+                seen[w_] = True
+                stack.append(int(w_))
+    return bool(seen.all())
 
 
 def atom_spectrum(adj) -> SpectrumClassification:

@@ -20,7 +20,8 @@ from graphnorm import (
     simplex_state,
     weighted_mass,
 )
-from graphnorm.dynamics import FALLBACK_VALUE, _step
+from graphnorm.dynamics import FALLBACK_VALUE, _products, _step
+from graphnorm.graph import WeightedGraph
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +45,7 @@ def test_step_divides_tiny_denominator(x):
     # any positive closed-neighbourhood sum, subnormal too, is inside the
     # map's domain
     lone = build_graph(1, [], [1.0])
-    out, fallbacks = _step(lone, np.array([x]), 1.0)
+    out, fallbacks = _step(lone, *_products(lone, np.array([x])), 1.0)
     assert out[0] == 1.0 and fallbacks == 0
 
 
@@ -52,7 +53,7 @@ def test_step_divides_tiny_denominator(x):
 def test_step_fallback_fires_on_zero_denominator(x, w):
     # at x = 5e-324 the weighted state v*x underflows to 0
     lone = build_graph(1, [], [w])
-    out, fallbacks = _step(lone, np.array([x]), 1.0)
+    out, fallbacks = _step(lone, *_products(lone, np.array([x])), 1.0)
     assert out[0] == FALLBACK_VALUE and fallbacks == 1
 
 
@@ -111,8 +112,8 @@ def test_step_weight_scale_is_exact(gx, data, gamma, k):
     zero = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
     x = np.where(zero, 0.0, x)
     scaled = build_graph(g.n, np.column_stack(g.edge_arrays()), g.w * 4.0**k)
-    out, fallbacks = _step(g, x, gamma)
-    out_scaled, fallbacks_scaled = _step(scaled, x, gamma)
+    out, fallbacks = _step(g, *_products(g, x), gamma)
+    out_scaled, fallbacks_scaled = _step(scaled, *_products(scaled, x), gamma)
     np.testing.assert_array_equal(out_scaled, out)
     assert fallbacks_scaled == fallbacks
 
@@ -281,6 +282,42 @@ def test_run_wrgn_trace_monotone_at_constant_gamma():
     assert np.all(np.diff(e)[moving] < 0)
     assert np.all(np.diff(m)[moving] > 0)
     assert trace.total_fallbacks == 0
+
+
+class CountingGraph(WeightedGraph):
+    """A graph whose adjacency counts the products taken with it."""
+
+    __slots__ = ("products",)
+
+    def adjacency(self):
+        graph = self
+
+        class Counted:
+            def __matmul__(self, other):
+                graph.products += 1
+                return WeightedGraph.adjacency(graph) @ other
+
+        return Counted()
+
+
+@pytest.mark.parametrize(
+    "schedule, early_exit",
+    [
+        (GammaSchedule.constant(1.2, 60), False),
+        (GammaSchedule.pursuit(iterations=60), False),
+        (GammaSchedule.constant(1.5, 100_000), True),
+    ],
+    ids=["constant", "linear", "early-exit"],
+)
+def test_run_wrgn_adjacency_products(schedule, early_exit):
+    # one product per step plus the start's domain check; a traced run adds
+    # one for the last post-step energy
+    base = erdos_renyi(20, 0.3, [11, 0])
+    g = CountingGraph(base.n, base.indptr, base.indices, base.w)
+    for record_trace, extra in [(False, 1), (True, 2)]:
+        g.products = 0
+        _, trace = run_wrgn(g, init_random(20, 42), schedule, record_trace, early_exit)
+        assert g.products == len(trace) + extra
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,12 @@ def test_oracle_empty_graph():
     assert enumerate_mises(g) == [empty]
 
 
+def test_correspondence_check_rejects_empty_graph():
+    # the empty MIS carries no tilted-simplex point, so there is nothing to check
+    with pytest.raises(ValueError, match="needs at least one vertex"):
+        correspondence_check(build_graph(0, [], []), 1.5, 10)
+
+
 def test_enumerate_matches_subset_scan():
     rng = np.random.default_rng(6)
     for k in range(80):

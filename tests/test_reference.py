@@ -11,13 +11,17 @@ from hypothesis import assume, given, strategies as st
 import graphnorm.io
 import reference
 from graphnorm import (
+    GammaSchedule,
     GraphError,
     MisSolution,
+    NormalizationError,
     build_graph,
     erdos_renyi,
+    init_random,
     is_independent,
     is_maximal_independent,
     round_to_mis,
+    run_wrgn,
 )
 from graphnorm.analysis import _is_connected, _solve_exact, atom_spectrum, mis_stability
 from graphnorm.enumeration import canonical_form, connected_graphs_upto
@@ -97,6 +101,60 @@ def test_round_to_mis_matches_reference(g, data):
         st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.5, 0.7, 1.0, 1.0]), min_size=g.n, max_size=g.n)
     )
     assert round_to_mis(g, x) == reference.round_to_mis(g, x)
+
+
+def _trajectory(run, g, x0, schedule, record_trace, early_exit):
+    try:
+        x, trace = run(g, x0, schedule, record_trace=record_trace, early_exit=early_exit)
+    except NormalizationError as exc:
+        return str(exc)
+    return x.tolist(), trace
+
+
+@st.composite
+def schedules(draw):
+    gamma0 = draw(st.floats(0.1, 3.0))
+    gamma1 = draw(st.one_of(st.just(gamma0), st.floats(0.1, 3.0)))
+    return GammaSchedule(gamma0, gamma1, draw(st.integers(2, 150)))
+
+
+WEIGHTS = st.one_of(st.just(0.01), st.floats(0.1, 10.0))
+
+
+@given(edge_lists(), schedules(), st.booleans(), st.booleans(), st.data())
+def test_run_wrgn_matches_reference(parts, schedule, record_trace, early_exit, data):
+    # states and every trace list equal, not close: the package reads each
+    # energy and mass from the step's own products, the reference recomputes them
+    n, edges = parts
+    weights = data.draw(st.lists(WEIGHTS, min_size=n, max_size=n))
+    g = build_graph(n, edges, weights)
+    x0 = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    # a few exact zeros (absorbing, or outside the domain when a whole closed
+    # neighbourhood is 0) and 5e-324, whose v*x underflows to 0 at weight
+    # 0.01 and so takes the fallback
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        x0[i] = data.draw(st.sampled_from([0.0, 5e-324]))
+    args = (g, x0, schedule, record_trace, early_exit)
+    assert _trajectory(run_wrgn, *args) == _trajectory(reference.run_wrgn, *args)
+
+
+@pytest.mark.parametrize("x, w", [(0.0, 1.0), (5e-324, 0.01)])
+@pytest.mark.parametrize("record_trace", [False, True])
+def test_run_wrgn_matches_reference_on_zero_denominator(x, w, record_trace):
+    # the inputs of test_step_fallback_fires_on_zero_denominator: x = 0 is
+    # not normalizable, x = 5e-324 falls back on every step
+    lone = build_graph(1, [], [w])
+    args = (lone, np.array([x]), GammaSchedule.pursuit(iterations=20), record_trace, False)
+    assert _trajectory(run_wrgn, *args) == _trajectory(reference.run_wrgn, *args)
+
+
+@pytest.mark.parametrize("record_trace", [False, True])
+def test_run_wrgn_matches_reference_on_early_exit(record_trace):
+    g = erdos_renyi(20, 0.3, [11, 0])
+    args = (g, init_random(20, 42), GammaSchedule.constant(1.5, 100_000), record_trace, True)
+    got = _trajectory(run_wrgn, *args)
+    assert len(got[1]) < 100_000
+    assert got == _trajectory(reference.run_wrgn, *args)
 
 
 @given(st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**16), st.sampled_from([None, "one", "two\nlines"]))
@@ -350,6 +408,22 @@ def _spectrum_matches_reference(adj):
         want.nullity,
         want.regular,
     )
+
+
+def test_is_connected_matches_reference_all_connected_small():
+    for n in range(1, 8):
+        for adj in connected_graphs_upto(n):
+            assert _is_connected(adj) and reference.is_connected(adj)
+
+
+@given(small_graphs(max_n=10), st.data())
+def test_is_connected_matches_reference_random(adj, data):
+    n = len(adj)
+    if data.draw(st.booleans()):
+        # cut every edge across a drawn split, so disconnected draws are common
+        side = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        adj = adj * (side[:, None] == side[None, :])
+    assert _is_connected(adj) == reference.is_connected(adj)
 
 
 def test_atom_spectrum_matches_reference_all_small():

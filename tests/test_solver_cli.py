@@ -318,6 +318,15 @@ def test_cli_oracle_rejects_negative_perturbations(k2_file, capsys):
     assert "perturbations must be nonnegative" in capsys.readouterr().err
 
 
+def test_cli_oracle_rejects_empty_graph(tmp_path, capsys):
+    f = tmp_path / "empty.mwis"
+    f.write_text("p mwis 0 0\n")
+    assert main(["oracle", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert "correspondence check needs at least one vertex" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
