@@ -73,11 +73,11 @@ def _config_from_args(args, trace: bool = False) -> RunConfig:
     return RunConfig(trace=trace, **{k: v for k, v in given.items() if v is not None})
 
 
-def exit_code_for(result, stats) -> int:
-    """Solution validity outranks the numerical-anomaly signal."""
+def exit_code_for(result, traces) -> int:
+    """Exit code of a solve from its result and traces; validity outranks a fallback."""
     if not all(s.valid and s.maximal for s in result.starts):
         return EXIT_INVALID_SOLUTION
-    if stats.fallback_events:
+    if any(trace.total_fallbacks for trace in traces.values()):
         return EXIT_NUMERICAL_ANOMALY
     return EXIT_OK
 
@@ -98,14 +98,14 @@ def cmd_solve(args) -> int:
     if args.reference:
         table = read_reference_csv(Path(args.reference).read_text())
         reference = table.get(name)
-    result, stats = solve_instance(g, name, config, warm, reference)
+    result, traces = solve_instance(g, name, config, warm, reference)
     text = write_result(result)  # both texts render before either file is written
     if args.trace:
-        payload = {sid: asdict(trace) for sid, trace in stats.traces.items()}
+        payload = {sid: asdict(trace) for sid, trace in traces.items()}
         trace_text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         Path(args.output + ".trace.json").write_text(trace_text)
     _emit(text, args.output)
-    return exit_code_for(result, stats)
+    return exit_code_for(result, traces)
 
 
 def _parse_solution_file(text: str) -> list[int]:
@@ -137,6 +137,8 @@ def cmd_atoms(args) -> int:
     from .enumeration import census, census_from_stream, format_census_table
 
     if args.graph6:
+        if args.cumulative:
+            raise ValueError("--cumulative applies to --n only; a graph6 stream gives one row")
         lines = Path(args.graph6).read_text().splitlines()
         row, skipped = census_from_stream(lines)
         text = format_census_table([row])
@@ -177,6 +179,7 @@ def cmd_bench(args) -> int:
     if args.reference:
         references = read_reference_csv(Path(args.reference).read_text())
     config = _config_from_args(args)
+    config.schedule()  # a bad config is an input error before the sweep, even over no instances
 
     instances = sorted(directory.glob("*.mwis")) + sorted(directory.glob("*.dimacs"))
     rows = []
@@ -195,7 +198,12 @@ def cmd_bench(args) -> int:
             exit_code = max(exit_code, EXIT_INPUT_ERROR)
             continue
         reference = references.get(name)
-        result, stats = solve_instance(g, name, config, None, reference)
+        try:
+            result, traces = solve_instance(g, name, config, None, reference)
+        except ValueError as exc:
+            rows.append(f"{name:>20}  solve error: {exc}")
+            exit_code = max(exit_code, EXIT_INPUT_ERROR)
+            continue
         egap = None
         if result.gap_percent is not None:
             gaps = [SolveResult.gap_of(reference, s.objective) for s in result.starts]
@@ -223,7 +231,7 @@ def cmd_bench(args) -> int:
                 f"{name:>20} {g.n:>7} {g.num_edges:>9} {'-':>9} {'-':>9} "
                 f"{mean_ms:>9.1f}ms  best {result.best_objective:.12g}"
             )
-        exit_code = max(exit_code, exit_code_for(result, stats))
+        exit_code = max(exit_code, exit_code_for(result, traces))
     header = (
         f"{'instance':>20} {'n':>7} {'edges':>9} {'E[Gap]':>9} {'BestGap':>9} "
         f"{'meanTime':>11}"

@@ -152,16 +152,18 @@ def run_wrgn(
 ) -> tuple[np.ndarray, SolveTrace]:
     """Iterate the map under a gamma schedule.
 
-    Raises NormalizationError if x0 is not normalizable or a non-finite
-    state appears mid-run.  A step that leaves the domain by underflow
-    falls back as gn_step does, and the trace counts it.  When early_exit
-    is set, stops once gamma has reached its final value and the step
-    infinity-norm falls below 1e-12; otherwise runs the full budget.
-    Final entries are clamped to [0, 1].  The returned trace carries the
-    energy/mass series only when record_trace is set; step norms and
-    fallback counts are always kept.
+    Raises NormalizationError if x0 has a non-finite or negative entry or
+    is not normalizable, or if a non-finite state appears mid-run.  A step
+    that leaves the domain by underflow falls back as gn_step does, and
+    the trace counts it.  When early_exit is set, stops once gamma has
+    reached its final value and the step infinity-norm falls below 1e-12;
+    otherwise runs the full budget.  Final entries are clamped to [0, 1].
+    The returned trace carries the energy/mass series only when
+    record_trace is set; step norms and fallback counts are always kept.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
+    if not np.all(np.isfinite(x)):
+        raise NormalizationError("state entries must be finite")
     if np.any(x < 0.0):
         raise NormalizationError("state entries must be nonnegative")
     if not is_normalizable(g, x):

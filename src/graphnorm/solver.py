@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -53,48 +54,26 @@ class RunConfig:
         return GammaSchedule(self.gamma0, self.gamma1, self.iterations)
 
 
-@dataclass
-class RunStats:
-    """Non-serialized run diagnostics."""
-
-    fallback_events: int = 0
-    aborted_starts: int = 0
-    traces: dict = field(default_factory=dict)
-
-
 def _run_single(
     g: WeightedGraph,
-    x0: np.ndarray,
     schedule: GammaSchedule,
-    start_id: str,
     record_trace: bool,
+    start_id: str,
+    x0: np.ndarray,
 ) -> tuple[StartRecord, Optional[SolveTrace]]:
-    """One start, rounded; the trace is None when the start aborted."""
+    """One start, rounded; an aborted start has no trace and an empty, invalid record."""
     t0 = time.perf_counter()
     try:
         x, trace = run_wrgn(g, x0, schedule, record_trace=record_trace)
     except NormalizationError:
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        rec = StartRecord(
-            start=start_id,
-            objective=0.0,
-            valid=False,
-            maximal=False,
-            iterations=0,
-            wall_time_ms=elapsed,
-        )
-        return rec, None
+        trace = None
     elapsed = (time.perf_counter() - t0) * 1000.0
-    solution = round_to_mis(g, x)
-    rec = StartRecord(
-        start=start_id,
-        objective=solution.weight,
-        valid=solution.independent,
-        maximal=solution.maximal,
-        iterations=len(trace),
-        wall_time_ms=elapsed,
-    )
-    return rec, trace
+    if trace is None:
+        outcome = (0.0, False, False, 0)
+    else:
+        solution = round_to_mis(g, x)
+        outcome = (solution.weight, solution.independent, solution.maximal, len(trace))
+    return StartRecord(start_id, *outcome, elapsed), trace
 
 
 def solve_instance(
@@ -103,41 +82,34 @@ def solve_instance(
     config: RunConfig,
     warm_starts: Optional[list[np.ndarray]] = None,
     reference_objective: Optional[float] = None,
-) -> tuple[SolveResult, RunStats]:
-    """Run the configured number of starts and aggregate a SolveResult.
+) -> tuple[SolveResult, dict[str, SolveTrace]]:
+    """Run the configured number of starts; return the result and the traces.
 
     With warm starts supplied, one trajectory runs per vector; otherwise
-    `config.starts` random starts are used.
+    `config.starts` random starts are used.  The traces are keyed by start
+    id in start order, one per start that ran (an aborted start has none);
+    their energy and mass series are filled only under `config.trace`.
     """
     schedule = config.schedule()
-
-    tasks: list[tuple[str, np.ndarray]] = []
+    if g.n < 1:
+        raise ValueError("a solve needs at least one vertex")
     if warm_starts:
-        for i, vec in enumerate(warm_starts):
-            tasks.append((f"warm-{i}", init_warm(vec, g.n)))
+        tasks = [(f"warm-{i}", init_warm(vec, g.n)) for i, vec in enumerate(warm_starts)]
     else:
-        for i in range(config.starts):
-            tasks.append((f"seed-{config.seed}.{i}", init_random(g.n, [config.seed, i])))
-
-    def work(item):
-        start_id, x0 = item
-        return _run_single(g, x0, schedule, start_id, config.trace)
+        tasks = [
+            (f"seed-{config.seed}.{i}", init_random(g.n, [config.seed, i]))
+            for i in range(config.starts)
+        ]
+    ids, starts = zip(*tasks)
 
     with ThreadPoolExecutor(max_workers=min(len(tasks), 8)) as pool:
-        outcomes = list(pool.map(work, tasks))
+        outcomes = list(
+            pool.map(_run_single, repeat(g), repeat(schedule), repeat(config.trace), ids, starts)
+        )
 
-    stats = RunStats()
-    records = []
-    for (start_id, _), (rec, trace) in zip(tasks, outcomes):
-        records.append(rec)
-        if trace is None:
-            stats.aborted_starts += 1
-            continue
-        stats.fallback_events += trace.total_fallbacks
-        if config.trace:
-            stats.traces[start_id] = trace
-
+    records = [rec for rec, _ in outcomes]
+    traces = {rec.start: trace for rec, trace in outcomes if trace is not None}
     result = make_result(
         instance_name, g, records, asdict(schedule), reference_objective
     )
-    return result, stats
+    return result, traces

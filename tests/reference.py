@@ -267,7 +267,8 @@ def run_wrgn(g, x0, schedule, record_trace=False, early_exit=False):
 def solve_instance(g, instance_name, config, warm_starts=None, reference_objective=None):
     """The multi-start solve run serially, one start after another, in order.
 
-    Wall times are 0; compare results with them blanked.
+    Returns the result and each start's trace, keyed by start id.  Wall
+    times are 0; compare results with them blanked.
     """
     schedule = config.schedule()
     if warm_starts:
@@ -278,8 +279,10 @@ def solve_instance(g, instance_name, config, warm_starts=None, reference_objecti
             for i in range(config.starts)
         ]
     records = []
+    traces = {}
     for start_id, x0 in starts:
-        x, trace = run_wrgn(g, x0, schedule)
+        x, trace = run_wrgn(g, x0, schedule, record_trace=config.trace)
+        traces[start_id] = trace
         sol = round_to_mis(g, x)
         records.append(
             StartRecord(start_id, sol.weight, sol.independent, sol.maximal, len(trace), 0.0)
@@ -290,7 +293,7 @@ def solve_instance(g, instance_name, config, warm_starts=None, reference_objecti
         "iterations": config.iterations,
         "mode": "constant" if config.gamma0 == config.gamma1 else "linear",
     }
-    return make_result(instance_name, g, records, schedule_info, reference_objective)
+    return make_result(instance_name, g, records, schedule_info, reference_objective), traces
 
 
 # ---------------------------------------------------------------------------

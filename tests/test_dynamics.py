@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,18 @@ def test_run_wrgn_rejects_non_normalizable(p3_uniform):
     with pytest.raises(NormalizationError):
         run_wrgn(p3_uniform, np.zeros(3), GammaSchedule.constant(1.0, 5))
     with pytest.raises(NormalizationError):
+        run_wrgn(p3_uniform, np.array([0.5, -0.1, 0.5]), GammaSchedule.constant(1.0, 5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_wrgn_rejects_non_finite_start(p3_uniform, bad):
+    # nan passed the sign check and was reported as a zero closed-neighbourhood
+    # sum; inf was reported at iteration 0, after a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NormalizationError, match="state entries must be finite"):
+            run_wrgn(p3_uniform, np.array([0.5, bad, 0.5]), GammaSchedule.constant(1.0, 5))
+    with pytest.raises(NormalizationError, match="state entries must be nonnegative"):
         run_wrgn(p3_uniform, np.array([0.5, -0.1, 0.5]), GammaSchedule.constant(1.0, 5))
 
 

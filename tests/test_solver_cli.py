@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -9,9 +10,17 @@ import numpy as np
 import pytest
 
 import reference
-from graphnorm import GammaSchedule, build_graph, erdos_renyi
-from graphnorm.cli import _config_from_args, build_parser, main
-from graphnorm.io import parse_result, write_instance, write_result
+import graphnorm.solver
+from graphnorm import (
+    GammaSchedule,
+    NormalizationError,
+    SolveTrace,
+    build_graph,
+    erdos_renyi,
+    init_random,
+)
+from graphnorm.cli import _config_from_args, build_parser, exit_code_for, main
+from graphnorm.io import SolveResult, StartRecord, parse_result, write_instance, write_result
 from graphnorm.solver import RunConfig, solve_instance
 
 K2_TEXT = "p mwis 2 1\nn 1 4\nn 2 1\ne 1 2\n"
@@ -26,10 +35,11 @@ def k2_file(tmp_path):
 
 def test_solve_finds_heavy_endpoint(k2_heavy):
     config = RunConfig(starts=4, iterations=300)
-    result, stats = solve_instance(k2_heavy, "k2", config)
+    result, traces = solve_instance(k2_heavy, "k2", config)
     assert result.best_objective == 4.0
     assert all(s.valid and s.maximal for s in result.starts)
-    assert stats.fallback_events == 0
+    assert len(traces) == 4
+    assert not any(trace.total_fallbacks for trace in traces.values())
 
 
 def test_solve_gap_against_reference(k2_heavy):
@@ -48,6 +58,13 @@ def test_solve_warm_start_at_optimum(k2_heavy):
     assert result.starts[0].objective == 4.0
 
 
+@pytest.mark.parametrize("warm", [None, [np.zeros(0)]], ids=["random", "warm"])
+def test_solve_rejects_empty_graph(warm):
+    empty = build_graph(0, [], [])
+    with pytest.raises(ValueError, match="a solve needs at least one vertex"):
+        solve_instance(empty, "empty", RunConfig(starts=2, iterations=50), warm)
+
+
 def test_solve_small_er_seed_25_never_falls_back():
     # the first instance of the small-er benchmark workload at seed 25:
     # its states decay until some closed-neighbourhood sums fall below
@@ -57,8 +74,9 @@ def test_solve_small_er_seed_25_never_falls_back():
     iu, ju = np.triu_indices(n, k=1)
     pick = rng.random(iu.size) < 0.3
     g = build_graph(n, np.column_stack((iu[pick], ju[pick])), rng.uniform(0.1, 10.0, size=n))
-    result, stats = solve_instance(g, "er-000", RunConfig())
-    assert stats.fallback_events == 0
+    result, traces = solve_instance(g, "er-000", RunConfig())
+    assert len(traces) == len(result.starts)
+    assert not any(trace.total_fallbacks for trace in traces.values())
     assert all(s.valid and s.maximal for s in result.starts)
 
 
@@ -86,11 +104,39 @@ ER40 = erdos_renyi(40, 0.15, 1)
     ids=["random", "warm", "constant"],
 )
 def test_solver_matches_serial_reference(config, warm):
-    pooled, stats = solve_instance(ER40, "er40", config, warm, reference_objective=95.0)
-    serial = reference.solve_instance(ER40, "er40", config, warm, reference_objective=95.0)
+    pooled, traces = solve_instance(ER40, "er40", config, warm, reference_objective=95.0)
+    serial, serial_traces = reference.solve_instance(
+        ER40, "er40", config, warm, reference_objective=95.0
+    )
     assert _stable_view(write_result(pooled)) == _stable_view(write_result(serial))
     assert len({s.objective for s in pooled.starts}) == len(pooled.starts)
-    assert stats.aborted_starts == 0 and stats.traces == {}
+    assert list(traces) == [s.start for s in pooled.starts]
+    assert traces == serial_traces
+    assert all(t.energy == [] and t.pre_energy == [] and t.mass == [] for t in traces.values())
+
+
+def test_aborted_start_has_an_empty_record_and_no_trace(k2_heavy):
+    # init_random and init_warm clamp every start into [1e-3, 1], so no CLI
+    # input aborts a start; a patched run_wrgn aborts the second one
+    config = RunConfig(starts=3, iterations=100)
+    clean, clean_traces = solve_instance(k2_heavy, "k2", config)
+    aborted_x0 = init_random(k2_heavy.n, [config.seed, 1])
+    real_run = graphnorm.solver.run_wrgn
+
+    def run_or_abort(g, x0, schedule, **kwargs):
+        if np.array_equal(x0, aborted_x0):
+            raise NormalizationError("initial state has a zero closed neighborhood sum")
+        return real_run(g, x0, schedule, **kwargs)
+
+    with mock.patch("graphnorm.solver.run_wrgn", run_or_abort):
+        result, traces = solve_instance(k2_heavy, "k2", config)
+    untimed = [replace(s, wall_time_ms=0.0) for s in result.starts]
+    clean_untimed = [replace(s, wall_time_ms=0.0) for s in clean.starts]
+    assert untimed[1] == StartRecord("seed-0.1", 0.0, False, False, 0, 0.0)
+    assert untimed[::2] == clean_untimed[::2]
+    assert traces == {sid: clean_traces[sid] for sid in ("seed-0.0", "seed-0.2")}
+    assert list(traces) == ["seed-0.0", "seed-0.2"]
+    assert exit_code_for(result, traces) == 1
 
 
 @pytest.mark.parametrize(
@@ -231,6 +277,22 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.mwis")]) == 2
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["random", "warm"])
+def test_cli_solve_rejects_empty_graph(tmp_path, capsys, warm):
+    # random starts failed inside init_random with "n must be at least 1",
+    # and a warm start solved the empty instance with exit 0
+    f = tmp_path / "empty.mwis"
+    f.write_text("p mwis 0 0\n")
+    argv = ["solve", str(f), "--output", str(tmp_path / "res.json")]
+    if warm:
+        (tmp_path / "warm.txt").write_text("")
+        argv += ["--warm-start", str(tmp_path / "warm.txt")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "a solve needs at least one vertex" in captured.err
+    assert captured.out == "" and not (tmp_path / "res.json").exists()
+
+
 def test_cli_verify(k2_file, tmp_path, capsys):
     sol = tmp_path / "sol.txt"
     sol.write_text("{0}\n")
@@ -296,6 +358,16 @@ def test_cli_atoms_graph6(tmp_path, capsys):
     assert main(["atoms", "--graph6", str(f)]) == 0
     out = capsys.readouterr().out
     assert "6" in out and "2" in out
+
+
+def test_cli_atoms_graph6_rejects_cumulative(tmp_path, capsys):
+    # --cumulative was ignored for a graph6 stream, which gave one row and exit 0
+    f = tmp_path / "graphs.g6"
+    f.write_text("A_\n")
+    assert main(["atoms", "--graph6", str(f), "--cumulative"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cumulative applies to --n only" in captured.err
 
 
 def test_cli_atoms_empty_stream(tmp_path, capsys):
@@ -438,6 +510,27 @@ def test_cli_bench_empty_dir(tmp_path, capsys):
     assert main(["bench", str(empty)]) == 0
 
 
+def test_cli_bench_rejects_bad_config_over_empty_dir(tmp_path, capsys):
+    empty = tmp_path / "none"
+    empty.mkdir()
+    assert main(["bench", str(empty), "--gamma0", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "gamma must be positive" in captured.err and captured.out == ""
+
+
+def test_cli_bench_empty_graph_is_an_error_row(tmp_path, capsys):
+    # the 0-vertex instance aborted the whole sweep, with no table
+    (tmp_path / "empty.mwis").write_text("p mwis 0 0\n")
+    (tmp_path / "k2.mwis").write_text(K2_TEXT)
+    results = tmp_path / "results"
+    argv = ["bench", str(tmp_path), "--starts", "1", "--iterations", "120"]
+    assert main(argv + ["--results-dir", str(results)]) == 2
+    out = capsys.readouterr().out
+    assert "empty  solve error: a solve needs at least one vertex" in out
+    assert "k2" in out and "best 4" in out
+    assert sorted(p.name for p in results.iterdir()) == ["k2.json"]
+
+
 def test_cli_bench_missing_reference_still_reports(tmp_path, capsys):
     (tmp_path / "k2.mwis").write_text(K2_TEXT)
     assert main(["bench", str(tmp_path), "--starts", "1", "--iterations", "120"]) == 0
@@ -455,16 +548,12 @@ def test_cli_bench_aggregate_line(tmp_path, capsys):
 
 
 def test_exit_code_precedence():
-    from graphnorm.cli import exit_code_for
-    from graphnorm.io import StartRecord, SolveResult
-    from graphnorm.solver import RunStats
-
     def result_with(valid, maximal):
         rec = StartRecord("seed-0.0", 1.0, valid, maximal, 10, 1.0)
         return SolveResult("x", 1, 0, (rec,), 1.0, {})
 
-    clean = RunStats()
-    anomalous = RunStats(fallback_events=3)
+    clean = {"seed-0.0": SolveTrace(fallbacks=[0] * 10)}
+    anomalous = {"seed-0.0": SolveTrace(fallbacks=[0, 2, 0, 1] + [0] * 6)}
     assert exit_code_for(result_with(True, True), clean) == 0
     assert exit_code_for(result_with(True, True), anomalous) == 3
     assert exit_code_for(result_with(False, False), clean) == 1
