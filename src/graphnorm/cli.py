@@ -24,15 +24,8 @@ from typing import Optional
 
 from . import __version__
 from .analysis import mis_stability
-from .graph import GraphError, MisSolution, WeightedGraph
-from .io import (
-    FormatError,
-    SolveResult,
-    parse_instance,
-    parse_warm_start,
-    read_reference_csv,
-    write_result,
-)
+from .graph import MisSolution, WeightedGraph
+from .io import SolveResult, parse_instance, parse_warm_start, read_reference_csv, write_result
 from .oracle import correspondence_check
 from .solver import RunConfig, solve_instance
 
@@ -53,6 +46,18 @@ def _load_instance(path: str) -> tuple[str, WeightedGraph]:
     p = Path(path)
     g = parse_instance(p.read_text())
     return p.stem, g
+
+
+def _solve_file(path, config: RunConfig, refs: dict, warm_files=()) -> tuple[SolveResult, dict, str]:
+    """An instance file's result, traces and result text; writes no file.
+
+    Every input error raises OSError or ValueError (FormatError, GraphError
+    and NormalizationError are ValueErrors).
+    """
+    name, g = _load_instance(path)
+    warm = [parse_warm_start(Path(w).read_text(), g.n) for w in warm_files]
+    result, traces = solve_instance(g, name, config, warm, refs.get(name))
+    return result, traces, write_result(result)
 
 
 # RunConfig fields set from same-named flags; a flag not given is None and
@@ -87,20 +92,10 @@ def cmd_solve(args) -> int:
         raise ValueError("--trace writes FILE.trace.json next to the result; give --output FILE")
     if args.warm_start and (args.starts is not None or args.seed is not None):
         raise ValueError("--warm-start runs one trajectory per file; it takes no --starts or --seed")
-    name, g = _load_instance(args.instance)
+    refs = read_reference_csv(Path(args.reference).read_text()) if args.reference else {}
     config = _config_from_args(args, args.trace)
-    warm = None
-    if args.warm_start:
-        warm = [
-            parse_warm_start(Path(w).read_text(), g.n) for w in args.warm_start
-        ]
-    reference = None
-    if args.reference:
-        table = read_reference_csv(Path(args.reference).read_text())
-        reference = table.get(name)
-    result, traces = solve_instance(g, name, config, warm, reference)
-    text = write_result(result)  # both texts render before either file is written
-    if args.trace:
+    result, traces, text = _solve_file(args.instance, config, refs, args.warm_start)
+    if args.trace:  # both texts render before either file is written
         payload = {sid: asdict(trace) for sid, trace in traces.items()}
         trace_text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         Path(args.output + ".trace.json").write_text(trace_text)
@@ -116,6 +111,8 @@ def _parse_solution_file(text: str) -> list[int]:
 
 
 def cmd_verify(args) -> int:
+    if not 0 < args.gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     name, g = _load_instance(args.instance)
     members = _parse_solution_file(Path(args.solution).read_text())
     sol = MisSolution.from_members(g, members)
@@ -174,12 +171,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    directory = Path(args.directory)
-    references = {}
-    if args.reference:
-        references = read_reference_csv(Path(args.reference).read_text())
+    refs = read_reference_csv(Path(args.reference).read_text()) if args.reference else {}
     config = _config_from_args(args)
     config.schedule()  # a bad config is an input error before the sweep, even over no instances
+    directory = Path(args.directory)
+    if not directory.is_dir():
+        raise NotADirectoryError(f"bench needs a directory of instances: {directory}")
 
     instances = sorted(directory.glob("*.mwis")) + sorted(directory.glob("*.dimacs"))
     rows = []
@@ -191,44 +188,32 @@ def cmd_bench(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     for path in instances:
         name = path.stem
-        try:
-            g = parse_instance(path.read_text())
-        except (FormatError, GraphError) as exc:
-            rows.append(f"{name:>20}  parse error: {exc}")
+        try:  # a bad instance costs its own row and result file, not the sweep
+            result, traces, text = _solve_file(path, config, refs)
+            egap = None
+            if result.gap_percent is not None:
+                ref = result.reference_objective
+                egap = sum(SolveResult.gap_of(ref, s.objective) for s in result.starts)
+                egap /= len(result.starts)
+                if not math.isfinite(egap):
+                    raise ValueError(f"mean gap over the starts against reference {ref:.12g} overflows")
+            if out_dir:
+                (out_dir / f"{name}.json").write_text(text)
+        except (OSError, ValueError) as exc:
+            rows.append(f"{name:>20}  error: {exc}")
             exit_code = max(exit_code, EXIT_INPUT_ERROR)
             continue
-        reference = references.get(name)
-        try:
-            result, traces = solve_instance(g, name, config, None, reference)
-        except ValueError as exc:
-            rows.append(f"{name:>20}  solve error: {exc}")
-            exit_code = max(exit_code, EXIT_INPUT_ERROR)
-            continue
-        egap = None
-        if result.gap_percent is not None:
-            gaps = [SolveResult.gap_of(reference, s.objective) for s in result.starts]
-            egap = sum(gaps) / len(gaps)
-            if not (math.isfinite(egap) and math.isfinite(result.gap_percent)):
-                # like a parse error: an input error row, no result file
-                rows.append(
-                    f"{name:>20}  gap error: best {result.best_objective:.12g} against "
-                    f"reference {reference:.12g} gives a non-finite gap"
-                )
-                exit_code = max(exit_code, EXIT_INPUT_ERROR)
-                continue
-        if out_dir:
-            (out_dir / f"{name}.json").write_text(write_result(result))
         mean_ms = sum(s.wall_time_ms for s in result.starts) / len(result.starts)
         if egap is not None:
             egaps.append(egap)
             best_gaps.append(result.gap_percent)
             rows.append(
-                f"{name:>20} {g.n:>7} {g.num_edges:>9} {egap:>8.2f}% "
+                f"{name:>20} {result.n:>7} {result.edges:>9} {egap:>8.2f}% "
                 f"{result.gap_percent:>8.2f}% {mean_ms:>9.1f}ms"
             )
         else:
             rows.append(
-                f"{name:>20} {g.n:>7} {g.num_edges:>9} {'-':>9} {'-':>9} "
+                f"{name:>20} {result.n:>7} {result.edges:>9} {'-':>9} {'-':>9} "
                 f"{mean_ms:>9.1f}ms  best {result.best_objective:.12g}"
             )
         exit_code = max(exit_code, exit_code_for(result, traces))
@@ -310,7 +295,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, GraphError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

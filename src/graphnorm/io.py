@@ -409,8 +409,14 @@ def write_result(result: SolveResult) -> str:
     The JSON is asdict(result) with its keys in field order, every float
     at 12 significant digits, and every field that is None left out, so
     write -> parse -> write is byte-identical.  A float that is not finite
-    has no JSON form and raises ValueError.
+    has no JSON form and raises ValueError; for a gap, the message names
+    the best objective and the reference it was measured against.
     """
+    if result.gap_percent is not None and not math.isfinite(result.gap_percent):
+        raise ValueError(
+            f"best {result.best_objective:.12g} against reference {result.reference_objective:.12g}"
+            " gives a non-finite gap, which has no JSON form"
+        )
     return json.dumps(_canonical(asdict(result)), indent=2, allow_nan=False) + "\n"
 
 

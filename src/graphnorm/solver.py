@@ -7,6 +7,7 @@ and in whatever order the starts finish.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -102,7 +103,9 @@ def solve_instance(
         ]
     ids, starts = zip(*tasks)
 
-    with ThreadPoolExecutor(max_workers=min(len(tasks), 8)) as pool:
+    # one thread per usable CPU at most: more only contend for the same cores
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(len(tasks), cpus)) as pool:
         outcomes = list(
             pool.map(_run_single, repeat(g), repeat(schedule), repeat(config.trace), ids, starts)
         )

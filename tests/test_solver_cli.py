@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -317,6 +318,33 @@ def test_cli_verify_not_maximal(tmp_path, capsys):
     assert "maximal: false" in out
 
 
+@pytest.mark.parametrize("gamma", ["nan", "0", "-1"])
+def test_cli_verify_checks_gamma_for_any_set(tmp_path, capsys, gamma):
+    # {0} on the path 0-1-2 is independent but not maximal, so no stability
+    # score was computed and a bad gamma went unchecked with exit 0
+    inst = tmp_path / "p3.mwis"
+    inst.write_text("p mwis 3 2\nn 1 1\nn 2 3\nn 3 1\ne 1 2\ne 2 3\n")
+    sol = tmp_path / "sol.txt"
+    sol.write_text("0\n")
+    assert main(["verify", str(inst), str(sol), "--gamma", gamma]) == 2
+    captured = capsys.readouterr()
+    assert "gamma must be positive and finite" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "DIR"], ["solve", "K2", "--output", "DIR"], ["verify", "DIR", "SOL"]],
+    ids=["solve-instance", "solve-output", "verify-instance"],
+)
+def test_cli_unusable_path_is_an_input_error(k2_file, tmp_path, capsys, argv):
+    # a directory where a file belongs raised IsADirectoryError: a traceback and exit 1
+    sol = tmp_path / "sol.txt"
+    sol.write_text("0\n")
+    argv = [{"K2": str(k2_file), "SOL": str(sol), "DIR": str(tmp_path)}.get(a, a) for a in argv]
+    assert main(argv + (["--iterations", "50"] if argv[0] == "solve" else [])) == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
 def test_cli_atoms_builtin(capsys):
     assert main(["atoms", "--n", "5"]) == 0
     out = capsys.readouterr().out
@@ -447,7 +475,9 @@ def test_cli_solve_rejects_overflowing_gap(tmp_path, capsys):
     out = tmp_path / "res.json"
     argv = ["solve", str(inst), "--reference", str(refs), "--output", str(out), "--trace"]
     assert main(argv + ["--starts", "2", "--iterations", "50"]) == 2
-    assert "JSON" in capsys.readouterr().err
+    # the message bench prints in the error row of the same instance
+    message = "best 1e+300 against reference 1e-300 gives a non-finite gap, which has no JSON form"
+    assert message in capsys.readouterr().err
     assert not out.exists() and not Path(str(out) + ".trace.json").exists()
 
 
@@ -497,17 +527,75 @@ def test_cli_bench_overflowing_gap_is_an_input_error_row(tmp_path, capsys):
     argv = ["bench", str(tmp_path), "--reference", str(refs), "--results-dir", str(results)]
     assert main(argv + ["--starts", "2", "--iterations", "150"]) == 2
     out = capsys.readouterr().out
-    assert "big  gap error: best 1e+300 against reference 1e-300 gives a non-finite gap" in out
+    message = "best 1e+300 against reference 1e-300 gives a non-finite gap, which has no JSON form"
+    assert f"big  error: {message}\n" in out
     assert "inf" not in out.replace("1e+300", "")
     assert "aggregate" in out and "0.00%" in out
     assert not (results / "big.json").exists()
     assert parse_result((results / "k2.json").read_text()).best_objective == 4.0
 
 
+def test_cli_bench_overflowing_mean_gap_is_an_input_error_row(tmp_path, capsys):
+    # against 1e-6 the best gap is -1e308, which is finite, but the two starts'
+    # gaps sum to -inf
+    (tmp_path / "big.mwis").write_text("p mwis 2 1\nn 1 1e300\nn 2 1\ne 1 2\n")
+    refs = tmp_path / "refs.csv"
+    refs.write_text("big,1e-6\n")
+    argv = ["bench", str(tmp_path), "--reference", str(refs), "--starts", "2", "--iterations", "150"]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert "big  error: mean gap over the starts against reference 1e-06 overflows\n" in out
+    assert "inf" not in out
+
+
 def test_cli_bench_empty_dir(tmp_path, capsys):
     empty = tmp_path / "none"
     empty.mkdir()
     assert main(["bench", str(empty)]) == 0
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_cli_bench_needs_a_directory(tmp_path, capsys, kind):
+    # a missing path and a regular file both gave an empty table and exit 0
+    path = tmp_path / "k2.mwis"
+    if kind == "file":
+        path.write_text(K2_TEXT)
+    assert main(["bench", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "bench needs a directory of instances" in captured.err and captured.out == ""
+
+
+def test_cli_bench_unreadable_instance_is_an_error_row(tmp_path, capsys):
+    # a directory named sub.mwis raised IsADirectoryError and ended the sweep
+    # in a traceback with exit 1 and no table
+    (tmp_path / "k2.mwis").write_text(K2_TEXT)
+    (tmp_path / "sub.mwis").mkdir()
+    results = tmp_path / "results"
+    argv = ["bench", str(tmp_path), "--starts", "1", "--iterations", "120"]
+    assert main(argv + ["--results-dir", str(results)]) == 2
+    out = capsys.readouterr().out
+    assert "                 sub  error: [Errno 21] Is a directory" in out
+    assert "k2" in out and "best 4" in out
+    assert sorted(p.name for p in results.iterdir()) == ["k2.json"]
+
+
+def test_cli_bench_writes_what_solve_writes(tmp_path, capsys):
+    (tmp_path / "k2.mwis").write_text(K2_TEXT)
+    g = build_graph(3, [(0, 1), (1, 2)], [1.0, 3.0, 1.0])
+    (tmp_path / "p3.mwis").write_text(write_instance(g))
+    refs = tmp_path / "refs.csv"
+    refs.write_text("k2,4\n")
+    flags = ["--reference", str(refs), "--starts", "3", "--iterations", "150", "--seed", "7"]
+    results = tmp_path / "results"
+    assert main(["bench", str(tmp_path), "--results-dir", str(results)] + flags) == 0
+
+    def blank(path):
+        return re.sub(r'"wall_time_ms": [^,\n]+', '"wall_time_ms": 0', path.read_text())
+
+    for name in ("k2", "p3"):
+        solved = tmp_path / f"{name}.json"
+        assert main(["solve", str(tmp_path / f"{name}.mwis"), "--output", str(solved)] + flags) == 0
+        assert blank(results / f"{name}.json") == blank(solved)
 
 
 def test_cli_bench_rejects_bad_config_over_empty_dir(tmp_path, capsys):
@@ -526,7 +614,7 @@ def test_cli_bench_empty_graph_is_an_error_row(tmp_path, capsys):
     argv = ["bench", str(tmp_path), "--starts", "1", "--iterations", "120"]
     assert main(argv + ["--results-dir", str(results)]) == 2
     out = capsys.readouterr().out
-    assert "empty  solve error: a solve needs at least one vertex" in out
+    assert "empty  error: a solve needs at least one vertex" in out
     assert "k2" in out and "best 4" in out
     assert sorted(p.name for p in results.iterdir()) == ["k2.json"]
 
