@@ -95,11 +95,12 @@ def cmd_solve(args) -> int:
     refs = read_reference_csv(Path(args.reference).read_text()) if args.reference else {}
     config = _config_from_args(args, args.trace)
     result, traces, text = _solve_file(args.instance, config, refs, args.warm_start)
-    if args.trace:  # both texts render before either file is written
+    if args.trace:  # both texts render before either file is written; the result goes first
         payload = {sid: asdict(trace) for sid, trace in traces.items()}
         trace_text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-        Path(args.output + ".trace.json").write_text(trace_text)
     _emit(text, args.output)
+    if args.trace:
+        Path(args.output + ".trace.json").write_text(trace_text)
     return exit_code_for(result, traces)
 
 
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("bench", help="sweep a directory of instances")
-    sp.add_argument("directory")
+    sp.add_argument("directory", help="its *.mwis files, then its *.dimacs files, each in name order")
     sp.add_argument(
         "--results-dir", metavar="DIR", help="write per-instance JSON results here"
     )

@@ -118,19 +118,19 @@ def _energy(g: WeightedGraph, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamm
 
 
 def _step(g: WeightedGraph, y: np.ndarray, ay: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
-    """One normalization step from a state's products; returns (new state, fallback count)."""
+    """One step from a state's products: y/d where d > 0, FALLBACK_VALUE elsewhere; returns (state, fallbacks)."""
     d = y + gamma * ay
     ok = d > 0.0
-    out = np.where(ok, y / np.where(ok, d, 1.0), FALLBACK_VALUE)
+    out = np.divide(y, d, out=np.full(g.n, FALLBACK_VALUE), where=ok)
     return out, int(g.n - np.count_nonzero(ok))
 
 
 def gn_step(g: WeightedGraph, x: np.ndarray, gamma: float) -> np.ndarray:
     """Apply the weighted regularized normalization map once.
 
-    x'_i = x_i / (x_i + gamma * sum_{j ~ i} (v_j / v_i) x_j).  Entries whose
-    denominator is exactly 0, outside the map's domain, are set to the
-    fallback value 0.5 instead of raising.
+    x'_i = x_i / (x_i + gamma * sum_{j ~ i} (v_j / v_i) x_j), one divide masked
+    to the positive denominators over an array of 0.5: an entry whose
+    denominator is exactly 0, outside the map's domain, keeps that fallback.
     """
     out, _ = _step(g, *_products(g, np.asarray(x, dtype=np.float64)), float(gamma))
     return out
@@ -157,11 +157,12 @@ def run_wrgn(
     that leaves the domain by underflow falls back as gn_step does, and
     the trace counts it.  When early_exit is set, stops once gamma has
     reached its final value and the step infinity-norm falls below 1e-12;
-    otherwise runs the full budget.  Final entries are clamped to [0, 1].
-    The returned trace carries the energy/mass series only when
-    record_trace is set; step norms and fallback counts are always kept.
+    otherwise runs the full budget.  Each entry after a step is y/d with
+    0 <= y <= d, or 0.5, so the final state lies in [0, 1].  The trace
+    carries the energy/mass series only when record_trace is set; step
+    norms and fallback counts are always kept.
     """
-    x = np.asarray(x0, dtype=np.float64).copy()
+    x = np.asarray(x0, dtype=np.float64)  # never written: each step makes a new array
     if not np.all(np.isfinite(x)):
         raise NormalizationError("state entries must be finite")
     if np.any(x < 0.0):
@@ -180,12 +181,12 @@ def run_wrgn(
                 trace.energy.append(_energy(g, x, y, ay, trace.gamma[-1]))
             trace.pre_energy.append(_energy(g, x, y, ay, gamma))
         x_new, nfb = _step(g, y, ay, gamma)
-        step_inf = float(np.max(np.abs(x_new - x))) if g.n else 0.0
+        step_inf = float(np.max(np.abs(x_new - x), initial=0.0))
         trace.gamma.append(gamma)
         trace.step_inf.append(step_inf)
         trace.fallbacks.append(nfb)
         x = x_new
-        if not np.all(np.isfinite(x)):
+        if not math.isfinite(step_inf):  # x was finite, so x_new is not
             raise NormalizationError(f"non-finite state at iteration {k}")
         if record_trace:
             trace.mass.append(weighted_mass(g, x))
@@ -193,7 +194,6 @@ def run_wrgn(
             break
     if record_trace:
         trace.energy.append(energy(g, x, trace.gamma[-1]))
-    np.clip(x, 0.0, 1.0, out=x)
     return x, trace
 
 

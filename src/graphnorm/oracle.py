@@ -29,14 +29,7 @@ def _neighbor_masks(g: WeightedGraph) -> list[int]:
 
 
 def _mask_members(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def brute_force_mwis(g: WeightedGraph) -> MisSolution:
@@ -97,7 +90,10 @@ def enumerate_mises(g: WeightedGraph) -> list[MisSolution]:
 
     Recursive extension over the vertex order: each vertex is either added
     (when compatible) or must later be dominated; branches where a skipped
-    vertex can no longer acquire a selected neighbor are pruned.
+    vertex can no longer acquire a selected neighbor are pruned.  Adding is
+    tried first, so of two sets the one holding the smallest vertex of their
+    symmetric difference comes first; as neither contains the other, that
+    is ascending order of the member tuples.
     """
     n = g.n
     if n > ENUMERATION_LIMIT:
@@ -125,9 +121,7 @@ def enumerate_mises(g: WeightedGraph) -> list[MisSolution]:
             rec(i + 1, chosen, undominated | bit)
 
     rec(0, 0, 0)
-    solutions = [MisSolution.from_members(g, _mask_members(m)) for m in results]
-    solutions.sort(key=lambda s: s.members)
-    return solutions
+    return [MisSolution.from_members(g, _mask_members(m)) for m in results]
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,16 @@ def test_enumerate_matches_subset_scan():
         assert all(s.independent and s.maximal for s in enumerate_mises(g))
 
 
+def test_enumerate_emits_ascending_member_tuples():
+    # the search's own order is the contract: no sort on the way out, and
+    # none here, only a check that each tuple is below the next
+    rng = np.random.default_rng(15)
+    for k in range(300):
+        g = erdos_renyi(int(rng.integers(0, 17)), float(rng.uniform(0.05, 0.6)), [15, k])
+        tuples = [s.members for s in enumerate_mises(g)]
+        assert all(a < b for a, b in zip(tuples, tuples[1:]))
+
+
 def test_correspondence_k2_heavy(k2_heavy):
     report = correspondence_check(k2_heavy, 1.5, perturbations=500)
     by_members = {r.solution.members: r for r in report.mis_list}

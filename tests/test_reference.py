@@ -157,6 +157,18 @@ def test_run_wrgn_matches_reference_on_early_exit(record_trace):
     assert got == _trajectory(reference.run_wrgn, *args)
 
 
+@pytest.mark.parametrize("record_trace", [False, True])
+def test_run_wrgn_matches_reference_on_mid_run_overflow(record_trace):
+    # a finite start whose v*x overflows: the first step divides inf by inf,
+    # so the state turns NaN and the run stops at iteration 0
+    g = build_graph(2, [(0, 1)], [1e300, 1e300])
+    args = (g, np.array([1e300, 1e300]), GammaSchedule.pursuit(iterations=20), record_trace, False)
+    with np.errstate(all="ignore"):
+        got = _trajectory(run_wrgn, *args)
+        assert got == _trajectory(reference.run_wrgn, *args)
+    assert got == "non-finite state at iteration 0"
+
+
 @given(st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**16), st.sampled_from([None, "one", "two\nlines"]))
 def test_write_instance_matches_reference(n, p, seed, comment):
     g = erdos_renyi(n, p, seed) if n else build_graph(0, [], [])

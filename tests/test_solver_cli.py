@@ -242,6 +242,16 @@ def test_cli_solve_trace_needs_output_file(tmp_path, capsys, output):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_solve_trace_leaves_no_file_when_the_result_write_fails(k2_file, tmp_path, capsys):
+    # the trace file was written first, so a result path that is a directory
+    # exited 2 but left out.trace.json behind
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["solve", str(k2_file), "--iterations", "50", "--trace", "--output", str(out)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "out.trace.json").exists()
+
+
 @pytest.mark.parametrize("flag", [["--trace"], ["--warm-start", "warm.txt"]])
 def test_cli_bench_rejects_solve_only_flags(tmp_path, capsys, flag):
     (tmp_path / "k2.mwis").write_text(K2_TEXT)
@@ -514,6 +524,20 @@ def test_cli_bench(tmp_path, capsys):
     assert "0.00%" in out
     assert (results / "k2.json").exists() and (results / "p3.json").exists()
     assert parse_result((results / "p3.json").read_text()).best_objective == 3.0
+
+
+def test_cli_bench_sweeps_dimacs_files_after_mwis_files(tmp_path, capsys):
+    # same instance format; the .dimacs rows follow every .mwis row
+    (tmp_path / "a.dimacs").write_text(K2_TEXT)
+    (tmp_path / "z.mwis").write_text(K2_TEXT)
+    (tmp_path / "skip.txt").write_text(K2_TEXT)
+    results = tmp_path / "results"
+    argv = ["bench", str(tmp_path), "--starts", "1", "--iterations", "120", "--results-dir", str(results)]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["z", "a"]
+    assert sorted(p.name for p in results.iterdir()) == ["a.json", "z.json"]
+    assert parse_result((results / "a.json").read_text()).best_objective == 4.0
 
 
 def test_cli_bench_overflowing_gap_is_an_input_error_row(tmp_path, capsys):
