@@ -84,12 +84,12 @@ class WeightedGraph:
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an integer array.
+    """Sorts an integer array in place and returns its distinct values.
 
     A sort plus a neighbour-difference mask: on numpy 2.4, np.unique took
     about 60 times as long for 5·10^5 int64 keys.
     """
-    a = np.sort(a)
+    a.sort()
     if a.size:
         keep = np.empty(a.size, dtype=bool)
         keep[0] = True
@@ -107,13 +107,19 @@ def build_graph(
 
     edges is any sequence of (u, v) pairs or a (k, 2) integer array.
     Duplicate edges and both orientations of the same edge are merged.
+    The weights are copied, so the graph shares no array with the caller.
     Raises GraphError on self-loops, out-of-range indices, weights that
     are missing, non-positive, or non-finite, or a weight total that is not
     finite; an edge error names the first bad edge in input order.
+
+    Beside the edges and the graph, the build holds about two copies of a
+    (k, 2) int64 edge array: the 2k packed keys and their deduplicated
+    copy.  From 5n random pairs its tracemalloc peak is 2.25 times the
+    edge array's bytes, the graph included.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.array(weights, dtype=np.float64)
     if w.shape != (n,):
         raise GraphError(f"expected {n} weights, got {w.shape}")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
@@ -137,21 +143,30 @@ def build_graph(
         if outside[k]:
             raise GraphError(f"edge ({u[k]},{v[k]}) has an endpoint outside [0,{n})")
         raise GraphError(f"self-loop at vertex {u[k]}")
+    del outside, bad
 
-    # packed keys u*n + v for both orientations: sorted and deduplicated,
-    # they are the CSR entries in row-major order, each row ascending
-    keys = _sorted_unique(np.concatenate([u * n + v, v * n + u]))
-    rows, cols = np.divmod(keys, n)
+    # packed keys u*n + v for both orientations, written in place: sorted and
+    # deduplicated, they are the CSR entries in row-major order, each row ascending
+    k = len(e)
+    keys = np.empty(2 * k, dtype=np.int64)
+    np.multiply(u, n, out=keys[:k])
+    keys[:k] += v
+    np.multiply(v, n, out=keys[k:])
+    keys[k:] += u
+    keys = _sorted_unique(keys)
     idx_dtype = np.int32 if max(n, keys.size) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n + 1, dtype=idx_dtype)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return WeightedGraph(n, indptr, cols.astype(idx_dtype), w)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    keys %= n
+    cols = keys.astype(idx_dtype, copy=False)
+    del keys  # the int64 keys are gone before the graph allocates its values
+    return WeightedGraph(n, indptr, cols, w)
 
 
 def _check_members(g: WeightedGraph, members: Iterable[int] | np.ndarray) -> np.ndarray:
     """Sorted distinct member indices, range-checked against the graph."""
     if isinstance(members, np.ndarray) and members.ndim == 1 and members.dtype.kind in "biu":
-        idx = members.astype(np.int64)
+        idx = members.astype(np.int64)  # a copy, which _sorted_unique may sort
     else:
         idx = np.fromiter(map(int, members), dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= g.n):

@@ -51,8 +51,9 @@ class FormatError(ValueError):
 
 
 # Bytes per chunk of the byte reader, extended to the end of a line: enough to
-# amortise the array calls, few enough that the chunk's index arrays stay a few MB.
-CHUNK_BYTES = 1 << 20
+# amortise the array calls, few enough that the chunk's index arrays, about 13
+# times its bytes for edge lines, stay a few MB beside the instance's own arrays.
+CHUNK_BYTES = 1 << 18
 
 # The byte reader's alphabet: tab, newline, carriage return, printable ASCII, and
 # the bytes above 127 of UTF-8 text, which no token outside a comment line passes.
@@ -87,14 +88,15 @@ def _read_bytes(text: str):
     """(n, 0-based edges, weights by vertex) of text in the byte reader's grammar, else None.
 
     Reads the lines up to the problem line one at a time, then the body in
-    chunks of about CHUNK_BYTES.  The text is read only if every chunk
-    reads, there are m edge lines, and the weight-line ids, sorted once,
-    are exactly 1..n; that sort also places the weights.
+    chunks of about CHUNK_BYTES, each written into arrays sized from the
+    problem line.  The text is read only if every chunk reads, there are m
+    edge lines, and the weight-line ids, sorted once, are exactly 1..n;
+    that sort also places the weights.
     """
     if not text.isascii() and any(map(text.__contains__, "\x85\u2028\u2029")):
         return None  # line ends to str.splitlines that UTF-8 spells with bytes above 127
     data = text.encode("utf-8", "surrogatepass")
-    if data.translate(None, _PLAIN) or data.count(b"\r") != data.count(b"\r\n"):
+    if data.translate(None, _PLAIN) or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
     pos = 0
     while pos < len(data):
@@ -109,15 +111,21 @@ def _read_bytes(text: str):
     if not all(count.isdigit() and len(count) <= 18 for count in parts[2:]):
         return None
     n, m = int(parts[2]), int(parts[3])
-    chunks = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 2), dtype=np.int64))]
+    if n + m > len(data) // 6:
+        return None  # too short: every body line takes at least 6 bytes, as "e 1 2\n"
+    ids, values, edges = np.empty(n, dtype=np.int64), np.empty(n), np.empty((m, 2), dtype=np.int64)
+    at_n = at_m = 0  # weight and edge lines read
     while pos < len(data):
         end = data.find(b"\n", pos + CHUNK_BYTES - 1) + 1 or len(data)
-        chunks.append(_read_chunk(data[pos:end]))
-        if chunks[-1] is None:
+        chunk = _read_chunk(data[pos:end])
+        if chunk is None:
             return None
-        pos = end
-    ids, values, edges = (np.concatenate(parts) for parts in zip(*chunks))
-    if len(edges) != m or ids.size != n or np.any((edges < 0) | (edges >= n)):
+        next_n, next_m = at_n + len(chunk[0]), at_m + len(chunk[2])
+        if next_n > n or next_m > m:
+            return None
+        ids[at_n:next_n], values[at_n:next_n], edges[at_m:next_m] = chunk
+        at_n, at_m, pos = next_n, next_m, end
+    if at_n != n or at_m != m or np.any((edges < 0) | (edges >= n)):
         return None
     order = np.argsort(ids)
     if not np.array_equal(ids[order], np.arange(1, n + 1)):

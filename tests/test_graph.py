@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -156,3 +157,30 @@ def test_single_csr_store():
     assert g.indices.dtype == np.int32 and g.indptr.dtype == np.int32
     for a in (g.indptr, g.indices, adj.data):
         assert not a.flags.writeable
+
+
+def test_build_graph_copies_the_weights():
+    w = np.array([1.0, 2.0, 3.0])
+    g = build_graph(3, [(0, 1)], w)
+    assert w.flags.writeable
+    w[0] = 5.0
+    np.testing.assert_array_equal(g.w, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(g.v, np.sqrt([1.0, 2.0, 3.0]))
+
+
+def test_build_graph_transient_memory():
+    # beside the edges and the graph: the 2k packed keys and their deduplicated copy
+    n = 20_000
+    rng = np.random.default_rng(7)
+    edges = rng.integers(0, n, size=(5 * n, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    w = rng.uniform(0.1, 10.0, n)
+    build_graph(2, [(0, 1)], [1.0, 1.0])  # imports scipy outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build_graph(n, edges, w)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * edges.nbytes

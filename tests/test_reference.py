@@ -1,6 +1,7 @@
 """Differential tests: the package's array code against the loop references."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -318,6 +319,18 @@ def test_parse_instance_huge_vertex_count_is_quick():
     # the reference would list every missing id; the parser stops at the first
     with pytest.raises(FormatError, match="missing weight for vertex 2"):
         parse_instance("p mwis 1000000000000 0\nn 1 1\n")
+
+
+def test_parse_instance_huge_edge_count_is_quick():
+    # the byte reader sizes its arrays from the problem line only when the text can hold it
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="problem line declares 1000000000000 edges, file has 0"):
+            parse_instance("p mwis 1 1000000000000\nn 1 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
