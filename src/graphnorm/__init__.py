@@ -6,9 +6,6 @@ from .graph import (
     WeightedGraph,
     build_graph,
     erdos_renyi,
-    is_independent,
-    is_maximal_independent,
-    set_weight,
 )
 from .dynamics import (
     GammaSchedule,
@@ -42,12 +39,9 @@ __all__ = [
     "gn_step",
     "init_random",
     "init_warm",
-    "is_independent",
-    "is_maximal_independent",
     "is_normalizable",
     "round_to_mis",
     "run_wrgn",
-    "set_weight",
     "simplex_state",
     "weighted_mass",
     "__version__",

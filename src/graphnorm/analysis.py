@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import gn_step, is_normalizable
-from .graph import MisSolution, WeightedGraph, is_maximal_independent
+from .graph import MisSolution, WeightedGraph
 
 
 def mis_stability(g: WeightedGraph, m: MisSolution, gamma: float) -> float:
@@ -31,7 +31,7 @@ def mis_stability(g: WeightedGraph, m: MisSolution, gamma: float) -> float:
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
     members = np.asarray(m.members, dtype=np.int64)
-    if not is_maximal_independent(g, members):
+    if not MisSolution.from_members(g, members).maximal:
         raise ValueError("solution is not a maximal independent set")
     mask = np.zeros(g.n, dtype=bool)
     mask[members] = True

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import MisSolution, WeightedGraph
+from .graph import MisSolution, WeightedGraph, greedy_complete
 
 # Value taken where a closed-neighbourhood sum is exactly 0, outside the
 # map's domain; from a normalizable start only underflow gets there.
@@ -152,17 +152,20 @@ def run_wrgn(
 ) -> tuple[np.ndarray, SolveTrace]:
     """Iterate the map under a gamma schedule.
 
-    Raises NormalizationError if x0 has a non-finite or negative entry or
-    is not normalizable, or if a non-finite state appears mid-run.  A step
-    that leaves the domain by underflow falls back as gn_step does, and
-    the trace counts it.  When early_exit is set, stops once gamma has
-    reached its final value and the step infinity-norm falls below 1e-12;
-    otherwise runs the full budget.  Each entry after a step is y/d with
-    0 <= y <= d, or 0.5, so the final state lies in [0, 1].  The trace
-    carries the energy/mass series only when record_trace is set; step
-    norms and fallback counts are always kept.
+    Raises NormalizationError if x0 is not a length-n vector, has a
+    non-finite or negative entry, or is not normalizable, or if a
+    non-finite state appears mid-run.  A step that leaves the domain by
+    underflow falls back as gn_step does, and the trace counts it.  When
+    early_exit is set, stops once gamma has reached its final value and
+    the step infinity-norm falls below 1e-12; otherwise runs the full
+    budget.  Each entry after a step is y/d with 0 <= y <= d, or 0.5, so
+    the final state lies in [0, 1].  The trace carries the energy/mass
+    series only when record_trace is set; step norms and fallback counts
+    are always kept.
     """
     x = np.asarray(x0, dtype=np.float64)  # never written: each step makes a new array
+    if x.shape != (g.n,):
+        raise NormalizationError(f"start has shape {x.shape}, expected {(g.n,)}")
     if not np.all(np.isfinite(x)):
         raise NormalizationError("state entries must be finite")
     if np.any(x < 0.0):
@@ -276,14 +279,13 @@ def round_to_mis(g: WeightedGraph, x: np.ndarray) -> MisSolution:
     Both rules are sequential, so they run as loops, but only over the
     vertices they can change: repair visits, in ascending order, the
     selected vertices that have a selected neighbor after thresholding;
-    completion visits the vertices no selected vertex dominates after
-    repair.
+    completion (greedy_complete) visits the vertices no selected vertex
+    dominates after repair.
     """
     x = np.asarray(x, dtype=np.float64)
     selected = x >= 0.5
-    adj = g.adjacency()
     w = g.w
-    for u in np.flatnonzero(selected & (adj @ selected > 0)).tolist():
+    for u in np.flatnonzero(selected & (g.adjacency() @ selected > 0)).tolist():
         if not selected[u]:
             continue
         nb = g.neighbors(u)
@@ -295,8 +297,5 @@ def round_to_mis(g: WeightedGraph, x: np.ndarray) -> MisSolution:
         selected[rivals[:stop]] = False
         if stop < rivals.size:
             selected[u] = False
-    free = np.flatnonzero(~selected & ~(adj @ selected > 0))
-    for i in free[np.lexsort((free, -w[free]))].tolist():
-        if not selected[g.neighbors(i)].any():
-            selected[i] = True
+    greedy_complete(g, selected)
     return MisSolution.from_members(g, np.flatnonzero(selected))

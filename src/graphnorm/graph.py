@@ -1,4 +1,4 @@
-"""Immutable weighted-graph representation and independent-set predicates.
+"""Immutable weighted-graph representation and independent-set checks.
 
 Graphs are simple, undirected, with strictly positive vertex weights.
 The adjacency has one store: a scipy CSR matrix of ones whose row
@@ -187,20 +187,17 @@ def _independence(g: WeightedGraph, idx: np.ndarray) -> tuple[bool, bool]:
     return independent, independent and bool(np.all(mask | dominated))
 
 
-def is_independent(g: WeightedGraph, members: Iterable[int]) -> bool:
-    """True iff no edge joins two members."""
-    return _independence(g, _check_members(g, members))[0]
+def greedy_complete(g: WeightedGraph, selected: np.ndarray) -> None:
+    """Completes an independent boolean mask to a maximal one, in place.
 
-
-def is_maximal_independent(g: WeightedGraph, members: Iterable[int]) -> bool:
-    """True iff members form an independent set dominating every outside vertex."""
-    return _independence(g, _check_members(g, members))[1]
-
-
-def set_weight(g: WeightedGraph, members: Iterable[int]) -> float:
-    """Total weight of a vertex subset; the empty set weighs 0."""
-    idx = _check_members(g, members)
-    return float(g.w[idx].sum())
+    Visits the vertices no selected vertex dominates by descending weight,
+    ties to the smaller index, and selects each that still has no
+    selected neighbour.
+    """
+    free = np.flatnonzero(~selected & ~(g.adjacency() @ selected > 0))
+    for i in free[np.lexsort((free, -g.w[free]))].tolist():
+        if not selected[g.neighbors(i)].any():
+            selected[i] = True
 
 
 @dataclass(frozen=True)

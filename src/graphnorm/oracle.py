@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import mis_simplex_point, mis_stability, tilted_simplex_q
-from .graph import MisSolution, WeightedGraph
+from .analysis import mis_simplex_point, mis_stability
+from .graph import MisSolution, WeightedGraph, greedy_complete
 
 DESCENT_TOL = 1e-12
 Q_MATCH_TOL = 1e-12
@@ -77,12 +77,10 @@ def brute_force_mwis(g: WeightedGraph) -> MisSolution:
     full = (1 << n) - 1
     rec(full, sum(wp), 0.0, 0)
 
-    members = {order[p] for p in _mask_members(best_mask)}
-    # weight-neutral completion to maximality (no-op when weights are positive)
-    for i in sorted(range(n), key=lambda i: (-g.w[i], i)):
-        if i not in members and not any(int(j) in members for j in g.neighbors(i)):
-            members.add(i)
-    return MisSolution.from_members(g, sorted(members))
+    selected = np.zeros(n, dtype=bool)
+    selected[[order[p] for p in _mask_members(best_mask)]] = True
+    greedy_complete(g, selected)
+    return MisSolution.from_members(g, np.flatnonzero(selected))
 
 
 def enumerate_mises(g: WeightedGraph) -> list[MisSolution]:
@@ -130,7 +128,6 @@ class MisCorrespondence:
 
     solution: MisSolution
     stab: float
-    gamma_stable: bool
     q_value: float
     q_matches: bool  # Q at the carried point equals 1/weight, within Q_MATCH_TOL/weight
     local_min_verified: bool  # no probe decreases Q by more than DESCENT_TOL/weight
@@ -219,13 +216,15 @@ def correspondence_check(
         members = np.asarray(sol.members, dtype=np.int64)
         stab = mis_stability(g, sol, gamma)
         r = mis_simplex_point(g, members)
-        q = tilted_simplex_q(g, r, gamma)
+        # r is 0 off M and (Br)_i = r_i on M, so r.Br multiplies the pairs
+        # tilted_simplex_q does, and its gamma r.Ar term is exactly 0
+        Br = B @ r
+        q = float(r @ Br)
         q_matches = abs(q - 1.0 / sol.weight) <= Q_MATCH_TOL / sol.weight
         D = _tangent_probes(g, members, perturbations, rng)
         if len(D):
             # exact expansion at the scale s = |r|: Q(r+sd) - Q(r) = 2s d.Br + s^2 d.Bd
             s = 1.0 / np.sqrt(sol.weight)
-            Br = B @ r
             delta_q = 2.0 * s * (D @ Br) + s * s * np.einsum("ij,ij->i", D, D @ B.T)
             worst = float(delta_q.min())
         else:
@@ -234,7 +233,6 @@ def correspondence_check(
             MisCorrespondence(
                 solution=sol,
                 stab=stab,
-                gamma_stable=stab > 1.0,
                 q_value=q,
                 q_matches=q_matches,
                 local_min_verified=worst >= -DESCENT_TOL / sol.weight,

@@ -227,6 +227,10 @@ def step(g, x, gamma):
 def run_wrgn(g, x0, schedule, record_trace=False, early_exit=False):
     """The trajectory loop calling energy() and weighted_mass() on every traced step."""
     x = np.asarray(x0, dtype=np.float64).copy()
+    if x.shape != (g.n,):
+        raise NormalizationError(f"start has shape {x.shape}, expected {(g.n,)}")
+    if not np.all(np.isfinite(x)):
+        raise NormalizationError("state entries must be finite")
     if np.any(x < 0.0):
         raise NormalizationError("state entries must be nonnegative")
     if not is_normalizable(g, x):

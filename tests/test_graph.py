@@ -5,15 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from graphnorm import (
-    GraphError,
-    MisSolution,
-    build_graph,
-    erdos_renyi,
-    is_independent,
-    is_maximal_independent,
-    set_weight,
-)
+from graphnorm import GraphError, MisSolution, build_graph, erdos_renyi
 
 
 def test_build_k2():
@@ -60,6 +52,11 @@ def test_out_of_range_edge_rejected():
         build_graph(2, [(0, 2)], [1, 1])
 
 
+def test_edges_must_be_pairs():
+    with pytest.raises(GraphError, match=r"edges must be \(u, v\) pairs, got an array of shape \(2, 3\)"):
+        build_graph(3, np.zeros((2, 3), dtype=np.int64), [1, 1, 1])
+
+
 def test_duplicate_edges_merged():
     g = build_graph(3, [(0, 1), (1, 0), (0, 1), (1, 2)], [1, 1, 1])
     assert g.num_edges == 2
@@ -67,33 +64,33 @@ def test_duplicate_edges_merged():
 
 def test_is_independent_examples():
     k2 = build_graph(2, [(0, 1)], [1, 1])
-    assert is_independent(k2, [0])
-    assert not is_independent(k2, [0, 1])
+    assert MisSolution.from_members(k2, [0]).independent
+    assert not MisSolution.from_members(k2, [0, 1]).independent
     p3 = build_graph(3, [(0, 1), (1, 2)], [1, 1, 1])
-    assert is_independent(p3, [0, 2])
+    assert MisSolution.from_members(p3, [0, 2]).independent
 
 
 def test_is_maximal_examples():
     p3 = build_graph(3, [(0, 1), (1, 2)], [1, 1, 1])
-    assert is_maximal_independent(p3, [1])
-    assert not is_maximal_independent(p3, [0])
+    assert MisSolution.from_members(p3, [1]).maximal
+    assert not MisSolution.from_members(p3, [0]).maximal
     edgeless = build_graph(3, [], [1, 1, 1])
-    assert is_maximal_independent(edgeless, [0, 1, 2])
+    assert MisSolution.from_members(edgeless, [0, 1, 2]).maximal
 
 
 def test_set_weight_examples():
     p3 = build_graph(3, [(0, 1), (1, 2)], [1, 3, 1])
-    assert set_weight(p3, []) == 0
-    assert set_weight(p3, [1]) == 3
-    assert set_weight(p3, [0, 2]) == 2
+    assert MisSolution.from_members(p3, []).weight == 0
+    assert MisSolution.from_members(p3, [1]).weight == 3
+    assert MisSolution.from_members(p3, [0, 2]).weight == 2
 
 
 def test_predicate_index_errors():
     p3 = build_graph(3, [(0, 1), (1, 2)], [1, 1, 1])
     with pytest.raises(GraphError):
-        is_independent(p3, [3])
+        MisSolution.from_members(p3, [3]).independent
     with pytest.raises(GraphError):
-        set_weight(p3, [-1])
+        MisSolution.from_members(p3, [-1]).weight
 
 
 def test_mis_solution_from_members():
@@ -138,8 +135,8 @@ def test_maximal_implies_independent(parts):
     n, edges, weights = parts
     g = build_graph(n, edges, weights)
     members = [i for i in range(n) if i % 2 == 0]
-    if is_maximal_independent(g, members):
-        assert is_independent(g, members)
+    if MisSolution.from_members(g, members).maximal:
+        assert MisSolution.from_members(g, members).independent
 
 
 def test_erdos_renyi_deterministic():

@@ -92,6 +92,11 @@ def test_graph6_errors():
         parse_graph6("A!")  # character below 63
     with pytest.raises(FormatError):
         parse_graph6("~??")  # multi-byte size
+    for record in ("", ">>graph6<<"):
+        with pytest.raises(FormatError, match="empty graph6 record"):
+            parse_graph6(record)
+    with pytest.raises(FormatError, match="graph6 writer supports n <= 62"):
+        write_graph6(np.zeros((63, 63), dtype=np.int8))
 
 
 def _edges_adjacency(n, edges):
@@ -272,6 +277,9 @@ def test_reference_csv():
     assert table == {"k2": 4.0, "big": 1234.5}
     with pytest.raises(FormatError):
         read_reference_csv("k2,notanumber\n")
+    assert read_reference_csv("k2,4\n\n , \nbig,5\n") == {"k2": 4.0, "big": 5.0}  # blank rows skipped
+    with pytest.raises(FormatError, match="reference row needs two columns"):
+        read_reference_csv("k2,4\nsolo\n")
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])

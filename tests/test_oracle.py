@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from graphnorm import build_graph, erdos_renyi
+from graphnorm import MisSolution, build_graph, erdos_renyi
 from graphnorm.oracle import (
+    MisCorrespondence,
+    OracleReport,
     brute_force_mwis,
     correspondence_check,
     enumerate_mises,
@@ -153,6 +155,35 @@ def test_correspondence_report_invariants():
         for r in report.mis_list:
             assert r.q_matches
         assert not report.violations
+
+
+def _record(stab, verified):
+    sol = MisSolution.from_members(build_graph(1, [], [1.0]), [0])
+    return MisCorrespondence(
+        solution=sol,
+        stab=stab,
+        q_value=1.0,
+        q_matches=True,
+        local_min_verified=verified,
+        worst_descent=0.0 if verified else -1e-6,
+    )
+
+
+def test_violations_report_contradicting_records_in_order():
+    # stable but not a local minimum, and unstable but a local minimum, are
+    # violations; scores in the marginal band [0.95, 1.05] never are
+    records = (
+        _record(1.2, False),
+        _record(0.97, False),
+        _record(2.0, True),
+        _record(0.9, True),
+        _record(1.03, True),
+        _record(0.97, True),
+        _record(1.03, False),
+        _record(0.5, False),
+    )
+    report = OracleReport(optimum=records[0].solution, mis_list=records)
+    assert report.violations == [records[0], records[3]]
 
 
 def test_motzkin_straus_small_graphs_thorough():

@@ -19,12 +19,17 @@ from graphnorm import (
     build_graph,
     erdos_renyi,
     init_random,
-    is_independent,
-    is_maximal_independent,
     round_to_mis,
     run_wrgn,
 )
-from graphnorm.analysis import _is_connected, _solve_exact, atom_spectrum, mis_stability
+from graphnorm.analysis import (
+    _is_connected,
+    _solve_exact,
+    atom_spectrum,
+    mis_simplex_point,
+    mis_stability,
+    tilted_simplex_q,
+)
 from graphnorm.enumeration import canonical_form, connected_graphs_upto
 from graphnorm.io import (
     FormatError,
@@ -35,7 +40,7 @@ from graphnorm.io import (
     write_graph6,
     write_instance,
 )
-from graphnorm.oracle import _tangent_probes, enumerate_mises
+from graphnorm.oracle import DESCENT_TOL, _tangent_probes, correspondence_check, enumerate_mises
 
 
 @st.composite
@@ -89,10 +94,12 @@ def test_build_graph_errors_match_reference(parts, bad, data):
 @given(tie_heavy_graphs(), st.data())
 def test_predicates_match_reference(g, data):
     members = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n + 2))
-    assert is_independent(g, members) == reference.is_independent(g, members)
-    assert is_maximal_independent(g, members) == reference.is_maximal_independent(g, members)
-    assert is_independent(g, np.array(members, dtype=np.int64)) == reference.is_independent(g, members)
-    assert MisSolution.from_members(g, members) == reference.mis_solution(g, members)
+    sol = MisSolution.from_members(g, members)
+    assert sol.independent == reference.is_independent(g, members)
+    assert sol.maximal == reference.is_maximal_independent(g, members)
+    from_array = MisSolution.from_members(g, np.array(members, dtype=np.int64))
+    assert from_array.independent == reference.is_independent(g, members)
+    assert sol == reference.mis_solution(g, members)
 
 
 @given(tie_heavy_graphs(), st.data())
@@ -168,6 +175,24 @@ def test_run_wrgn_matches_reference_on_mid_run_overflow(record_trace):
         got = _trajectory(run_wrgn, *args)
         assert got == _trajectory(reference.run_wrgn, *args)
     assert got == "non-finite state at iteration 0"
+
+
+@pytest.mark.parametrize(
+    "x0,want",
+    [
+        # a (6, 1) start broadcast v*x to (6, 6) and failed inside the step
+        (np.full((6, 1), 0.5), "start has shape (6, 1), expected (6,)"),
+        # a length-4 start failed inside scipy's product
+        (np.full(4, 0.5), "start has shape (4,), expected (6,)"),
+        (np.array([0.5, 0.5, np.nan, 0.5, 0.5, 0.5]), "state entries must be finite"),
+        (np.array([0.5, 0.5, np.inf, 0.5, 0.5, 0.5]), "state entries must be finite"),
+    ],
+    ids=["column", "short", "nan", "inf"],
+)
+def test_run_wrgn_rejects_a_bad_start_like_reference(x0, want):
+    args = (erdos_renyi(6, 0.4, 1), x0, GammaSchedule.constant(1.5, 10), False, False)
+    assert _trajectory(run_wrgn, *args) == want
+    assert _trajectory(reference.run_wrgn, *args) == want
 
 
 @given(st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**16), st.sampled_from([None, "one", "two\nlines"]))
@@ -609,3 +634,32 @@ def test_mis_stability_errors_match_reference(p3_uniform):
         with pytest.raises(ValueError) as want:
             reference.mis_stability(p3_uniform, sol, gamma)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("gamma", [1.2, 1.5, 3.0])
+def test_correspondence_check_matches_reference_pieces(gamma):
+    # Q is read from the product the probes use; it must equal the validated
+    # evaluation at the carried point bit for bit
+    count = 20
+    for n in range(2, 13):
+        g = erdos_renyi(n, 0.35, [n, 29])
+        report = correspondence_check(g, gamma, count, seed=n)
+        assert [rec.solution for rec in report.mis_list] == enumerate_mises(g)
+        B = gamma * g.adjacency().toarray()
+        np.fill_diagonal(B, 1.0)
+        rng = np.random.default_rng(n)  # one stream, drawn in enumeration order
+        for rec in report.mis_list:
+            sol = rec.solution
+            members = np.asarray(sol.members, dtype=np.int64)
+            r = mis_simplex_point(g, members)
+            assert rec.q_value == tilted_simplex_q(g, r, gamma)
+            assert rec.stab == mis_stability(g, sol, gamma)
+            _stability_matches_reference(g, sol, gamma)
+            s = 1.0 / math.sqrt(sol.weight)
+            descents = [
+                2.0 * s * float(d @ (B @ r)) + s * s * float(d @ (B @ d))
+                for d in reference.tangent_probes(g, members, count, rng)
+            ]
+            worst = min(descents, default=0.0)
+            assert rec.worst_descent == pytest.approx(worst, rel=1e-9, abs=1e-18)
+            assert rec.local_min_verified == (worst >= -DESCENT_TOL / sol.weight)

@@ -14,6 +14,7 @@ import reference
 import graphnorm.solver
 from graphnorm import (
     GammaSchedule,
+    MisSolution,
     NormalizationError,
     SolveTrace,
     build_graph,
@@ -22,6 +23,7 @@ from graphnorm import (
 )
 from graphnorm.cli import _config_from_args, build_parser, exit_code_for, main
 from graphnorm.io import SolveResult, StartRecord, parse_result, write_instance, write_result
+from graphnorm.oracle import MisCorrespondence, OracleReport
 from graphnorm.solver import RunConfig, solve_instance
 
 K2_TEXT = "p mwis 2 1\nn 1 4\nn 2 1\ne 1 2\n"
@@ -408,6 +410,13 @@ def test_cli_atoms_graph6_rejects_cumulative(tmp_path, capsys):
     assert "--cumulative applies to --n only" in captured.err
 
 
+def test_cli_atoms_graph6_skips_blank_lines_and_disconnected_records(tmp_path, capsys):
+    f = tmp_path / "graphs.g6"
+    f.write_text("A_\n\nA?\n")  # K2, a blank line, two isolated vertices
+    assert main(["atoms", "--graph6", str(f)]) == 0
+    assert "skipped 1 disconnected record(s)" in capsys.readouterr().out
+
+
 def test_cli_atoms_empty_stream(tmp_path, capsys):
     f = tmp_path / "empty.g6"
     f.write_text("")
@@ -421,6 +430,16 @@ def test_cli_oracle(k2_file, capsys):
     out = capsys.readouterr().out
     assert "optimum: [0] weight 4" in out
     assert "correspondence violations: 0" in out
+
+
+def test_cli_oracle_exits_1_on_a_violation(k2_file, capsys):
+    g = build_graph(2, [(0, 1)], [4.0, 1.0])
+    sol = MisSolution.from_members(g, [0])
+    rec = MisCorrespondence(sol, 1.2, 0.25, True, False, -1e-6)
+    report = OracleReport(optimum=sol, mis_list=(rec,))
+    with mock.patch("graphnorm.cli.correspondence_check", return_value=report):
+        assert main(["oracle", str(k2_file)]) == 1
+    assert "correspondence violations: 1" in capsys.readouterr().out
 
 
 def test_cli_oracle_rejects_negative_perturbations(k2_file, capsys):
