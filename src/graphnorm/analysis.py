@@ -119,6 +119,25 @@ def _is_connected(adj: np.ndarray) -> bool:
     return bool(reach[0].all())
 
 
+def _dominated(adj) -> np.ndarray:
+    """Per graph of a symmetric 0/1 stack (..., n, n): is some N[i] strictly inside some N[j]?
+
+    Such a graph has an EMPTY spectrum.  For any x > 0, (Bx)_j - (Bx)_i
+    with B = A + I is the sum of x over the vertices of N[j] outside N[i],
+    which is positive, so (Bx)_i and (Bx)_j cannot both equal 1.  Regular
+    graphs never meet the condition.  The product of the closed
+    neighbourhood matrix with itself counts |N[i] & N[j]|; N[i] lies
+    inside N[j] iff that count equals |N[i]|, strictly iff also
+    |N[i]| < |N[j]|.
+    """
+    closed = np.asarray(adj) != 0
+    closed = (closed | np.eye(closed.shape[-1], dtype=bool)).astype(np.float64)
+    shared = closed @ closed  # exact: counts of at most n
+    size = np.diagonal(shared, axis1=-2, axis2=-1)[..., :, None]
+    inside = (shared == size) & (size < np.swapaxes(size, -1, -2))
+    return inside.any(axis=(-2, -1))
+
+
 def _solve_exact(B: list[list[int]], rhs: list[int]):
     """Fraction-free Gauss-Jordan of the square integer system [B | rhs].
 
@@ -227,7 +246,9 @@ def atom_spectrum(adjacency) -> SpectrumClassification:
     solution set meets the positive orthant iff the centroid of the
     vertices of its nonnegative part is strictly positive (a single point
     when the system is nonsingular); the kind is discrete for a unique
-    solution and continuous otherwise.  Raises on disconnected input.
+    solution and continuous otherwise.  A graph with one closed
+    neighbourhood strictly inside another is EMPTY without a solve
+    (_dominated).  Raises on disconnected input.
     """
     adj = np.asarray(adjacency)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
@@ -237,11 +258,15 @@ def atom_spectrum(adjacency) -> SpectrumClassification:
         raise ValueError("graph must have at least one vertex")
     if np.any(adj != adj.T) or np.any(np.diag(adj) != 0):
         raise ValueError("adjacency must be symmetric with zero diagonal")
+    if np.any((adj != 0) & (adj != 1)):
+        raise ValueError("adjacency entries must be 0 or 1")
     if not _is_connected(adj):
         raise ValueError("graph must be connected")
 
     degs = adj.sum(axis=1)
     regular = bool(np.all(degs == degs[0]))
+    if _dominated(adj):
+        return SpectrumClassification(SpectrumKind.EMPTY, None, 0, regular)
 
     B = [
         [int(a) + (i == j) for j, a in enumerate(row)]

@@ -106,6 +106,16 @@ class SolveTrace:
         return len(self.gamma)
 
 
+def _checked_state(g: WeightedGraph, x, name: str = "state") -> np.ndarray:
+    """x as a float64 vector; raises NormalizationError unless it is finite with shape (n,)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (g.n,):
+        raise NormalizationError(f"{name} has shape {x.shape}, expected {(g.n,)}")
+    if not np.all(np.isfinite(x)):
+        raise NormalizationError("state entries must be finite")
+    return x
+
+
 def _products(g: WeightedGraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weighted state y = v*x and its neighbour sums A@y."""
     y = g.v * x
@@ -132,13 +142,13 @@ def gn_step(g: WeightedGraph, x: np.ndarray, gamma: float) -> np.ndarray:
     to the positive denominators over an array of 0.5: an entry whose
     denominator is exactly 0, outside the map's domain, keeps that fallback.
     """
-    out, _ = _step(g, *_products(g, np.asarray(x, dtype=np.float64)), float(gamma))
+    out, _ = _step(g, *_products(g, _checked_state(g, x)), float(gamma))
     return out
 
 
 def is_normalizable(g: WeightedGraph, x: np.ndarray) -> bool:
     """All closed neighborhood sums positive (the domain of the map)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _checked_state(g, x)
     closed = x + g.adjacency() @ x
     return bool(np.all(closed > 0.0))
 
@@ -163,11 +173,7 @@ def run_wrgn(
     series only when record_trace is set; step norms and fallback counts
     are always kept.
     """
-    x = np.asarray(x0, dtype=np.float64)  # never written: each step makes a new array
-    if x.shape != (g.n,):
-        raise NormalizationError(f"start has shape {x.shape}, expected {(g.n,)}")
-    if not np.all(np.isfinite(x)):
-        raise NormalizationError("state entries must be finite")
+    x = _checked_state(g, x0, "start")  # never written: each step makes a new array
     if np.any(x < 0.0):
         raise NormalizationError("state entries must be nonnegative")
     if not is_normalizable(g, x):
@@ -192,7 +198,7 @@ def run_wrgn(
         if not math.isfinite(step_inf):  # x was finite, so x_new is not
             raise NormalizationError(f"non-finite state at iteration {k}")
         if record_trace:
-            trace.mass.append(weighted_mass(g, x))
+            trace.mass.append(float(g.w @ x))
         if early_exit and gamma == final_gamma and step_inf < 1e-12:
             break
     if record_trace:
@@ -233,13 +239,13 @@ def energy(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
     In the weighted state y = v*x this is (1/2) y'(I + gamma A)y - v'y,
     the Lyapunov function the dynamics strictly decrease at fixed gamma.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _checked_state(g, x)
     return _energy(g, x, *_products(g, x), gamma)
 
 
 def weighted_mass(g: WeightedGraph, x: np.ndarray) -> float:
     """Relaxed objective sum(w_i x_i); strictly increases along trajectories."""
-    return float(g.w @ np.asarray(x, dtype=np.float64))
+    return float(g.w @ _checked_state(g, x))
 
 
 def simplex_state(g: WeightedGraph, x: np.ndarray) -> np.ndarray:

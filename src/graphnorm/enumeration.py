@@ -14,15 +14,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .analysis import SpectrumKind, _is_connected, atom_spectrum
+from .analysis import SpectrumKind, _dominated, _is_connected, atom_spectrum
 from .io import graph6_adjacency, graph6_code, graph6_pairs, parse_graph6
 
 MAX_BUILTIN_N = 7
+
+# graphs per stacked domination test in the census
+DOMINATION_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -107,11 +110,20 @@ def connected_graphs_upto(n: int) -> Iterator[np.ndarray]:
 
 
 def _tally(n: int, graphs: Iterable[np.ndarray]) -> CensusRow:
+    """Census row of connected 0/1 graphs on n vertices.
+
+    Graphs go through _dominated in stacks of DOMINATION_BLOCK; only the
+    undominated ones, whose spectrum can be nonempty, reach atom_spectrum.
+    """
     counts: Counter = Counter()
     total = 0
-    for total, adj in enumerate(graphs, start=1):
-        spectrum = atom_spectrum(adj)
-        counts[spectrum.regular, spectrum.kind] += 1
+    graphs = iter(graphs)
+    while block := list(islice(graphs, DOMINATION_BLOCK)):
+        total += len(block)
+        for adj, dominated in zip(block, _dominated(np.stack(block))):
+            if not dominated:
+                spectrum = atom_spectrum(adj)
+                counts[spectrum.regular, spectrum.kind] += 1
     kinds = (SpectrumKind.DISCRETE, SpectrumKind.CONTINUOUS)
     return CensusRow(n, total, *(counts[r, k] for r in (False, True) for k in kinds))
 

@@ -166,23 +166,25 @@ def _tangent_probes(
     inside[members] = True
     outside = np.flatnonzero(~inside)
     sw = g.v
+    sw_members = np.where(inside, sw, 0.0)
     W = float(g.w[members].sum())
 
     def retilt(D: np.ndarray) -> None:
-        # push the sqrt(w)-tilt of each row back into the member coordinates
-        tilt = D @ sw
-        D[:, members] -= np.outer(tilt, sw[members]) / W
+        # push the sqrt(w)-tilt of each row back into the member coordinates;
+        # sw_members is 0 off M, so the other columns lose an exact 0
+        D -= np.outer(D @ sw, sw_members) / W
 
     k = len(outside)
     D = np.zeros((k + count, n))
     D[np.arange(k), outside] = 1.0
     D[:k, members] = np.outer(sw[outside] / W, -sw[members])
-    D[k:] = rng.standard_normal((count, n))
+    rng.standard_normal(out=D[k:])
     D[k:, outside] = np.abs(D[k:, outside])
     retilt(D)
     norms = np.linalg.norm(D, axis=1)
-    D = D[norms > 1e-9]  # drop draws with no tangent component left
-    norms = norms[norms > 1e-9]
+    keep = norms > 1e-9
+    if not keep.all():
+        D, norms = D[keep], norms[keep]  # drop draws with no tangent component left
     D *= (PROBE_MAGNITUDE / norms)[:, None]
     retilt(D)  # kill the roundoff tilt amplified by the rescale
     return D

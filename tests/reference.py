@@ -254,14 +254,16 @@ def run_wrgn(g, x0, schedule, record_trace=False, early_exit=False):
         trace.gamma.append(gamma)
         trace.step_inf.append(step_inf)
         trace.fallbacks.append(nfb)
+        # before the traced values: energy() and weighted_mass() reject a
+        # non-finite state with their own message
+        if not np.all(np.isfinite(x_new)):
+            raise NormalizationError(f"non-finite state at iteration {k}")
         if record_trace:
             prev_energy = energy(g, x_new, gamma)
             prev_gamma = gamma
             trace.energy.append(prev_energy)
             trace.mass.append(weighted_mass(g, x_new))
         x = x_new
-        if not np.all(np.isfinite(x)):
-            raise NormalizationError(f"non-finite state at iteration {k}")
         if early_exit and gamma == final_gamma and step_inf < 1e-12:
             break
     np.clip(x, 0.0, 1.0, out=x)

@@ -15,6 +15,7 @@ from graphnorm import (
 )
 from graphnorm.analysis import (
     SpectrumKind,
+    _dominated,
     _positive_point,
     atom_spectrum,
     fixed_point_residual,
@@ -169,6 +170,42 @@ def test_atom_rejects_disconnected():
     a = np.zeros((2, 2), dtype=int)
     with pytest.raises(ValueError):
         atom_spectrum(a)
+
+
+def test_atom_rejects_entries_other_than_0_or_1():
+    # the domination shortcut reads closed neighbourhoods, so a multigraph
+    # weight of 2 is an input error, not an edge
+    a = np.array([[0, 2, 0], [2, 0, 1], [0, 1, 0]])
+    with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
+        atom_spectrum(a)
+
+
+def test_dominated_examples():
+    p3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # N[0] inside N[1]
+    c5 = np.zeros((5, 5), dtype=int)
+    for i in range(5):
+        c5[i, (i + 1) % 5] = c5[(i + 1) % 5, i] = 1
+    k4 = np.ones((4, 4), dtype=int) - np.eye(4, dtype=int)  # equal, not strict
+    diamond = k4.copy()
+    diamond[0, 1] = diamond[1, 0] = 0  # N[0] inside N[2]
+    assert bool(_dominated(p3)) and not _dominated(c5) and not _dominated(k4)
+    assert bool(_dominated(diamond))
+    assert _dominated(np.zeros((0, 3, 3))).shape == (0,)
+
+
+def test_dominated_stack_matches_one_graph_at_a_time():
+    from graphnorm.enumeration import connected_graphs_upto
+
+    undominated = []
+    for n in range(1, 8):
+        graphs = list(connected_graphs_upto(n))
+        flags = _dominated(np.stack(graphs))
+        assert flags.tolist() == [bool(_dominated(a)) for a in graphs]
+        for adj, dominated in zip(graphs, flags):
+            degs = adj.sum(axis=1)
+            assert not (dominated and np.all(degs == degs[0]))  # regular never
+        undominated.append(int((~flags).sum()))
+    assert undominated == [1, 1, 1, 2, 4, 16, 76]
 
 
 def test_regular_graphs_are_atomic_with_uniform_witness():

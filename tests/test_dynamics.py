@@ -241,6 +241,50 @@ def test_run_wrgn_rejects_non_finite_start(p3_uniform, bad):
         run_wrgn(p3_uniform, np.array([0.5, -0.1, 0.5]), GammaSchedule.constant(1.0, 5))
 
 
+# a (6, 1) state once broadcast into a (6, 6) sum, so is_normalizable
+# answered True; a length-4 state failed inside numpy or scipy
+WRONG_SHAPES = [
+    (np.full((6, 1), 0.5), r"state has shape \(6, 1\), expected \(6,\)"),
+    (np.full(4, 0.5), r"state has shape \(4,\), expected \(6,\)"),
+]
+
+
+@pytest.mark.parametrize("x,message", WRONG_SHAPES)
+def test_is_normalizable_rejects_wrong_shape(x, message):
+    with pytest.raises(NormalizationError, match=message):
+        is_normalizable(erdos_renyi(6, 0.4, 1), x)
+
+
+@pytest.mark.parametrize("x,message", WRONG_SHAPES)
+def test_gn_step_rejects_wrong_shape(x, message):
+    with pytest.raises(NormalizationError, match=message):
+        gn_step(erdos_renyi(6, 0.4, 1), x, 1.0)
+
+
+@pytest.mark.parametrize("x,message", WRONG_SHAPES)
+def test_energy_rejects_wrong_shape(x, message):
+    with pytest.raises(NormalizationError, match=message):
+        energy(erdos_renyi(6, 0.4, 1), x, 1.0)
+
+
+@pytest.mark.parametrize("x,message", WRONG_SHAPES)
+def test_weighted_mass_rejects_wrong_shape(x, message):
+    with pytest.raises(NormalizationError, match=message):
+        weighted_mass(erdos_renyi(6, 0.4, 1), x)
+
+
+def test_state_functions_reject_non_finite_states(p3_uniform):
+    x = np.array([0.5, math.nan, 0.5])
+    for call in (
+        lambda: is_normalizable(p3_uniform, x),
+        lambda: gn_step(p3_uniform, x, 1.0),
+        lambda: energy(p3_uniform, x, 1.0),
+        lambda: weighted_mass(p3_uniform, x),
+    ):
+        with pytest.raises(NormalizationError, match="state entries must be finite"):
+            call()
+
+
 def test_run_wrgn_tiny_weights_follow_the_map(p3_weighted):
     # weights (1, 3, 1) x 1e-20 put every closed-neighbourhood sum near
     # 1e-10 from the first step on; the map sees only weight ratios

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from graphnorm.analysis import atom_spectrum
 from graphnorm.enumeration import (
+    DOMINATION_BLOCK,
     CensusRow,
     _connected_codes,
     canonical_form,
@@ -88,11 +92,40 @@ def test_census_small_rows(n, expected):
 
 
 def test_census_stream_equals_builtin():
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6, 7):
         lines = [write_graph6(a) for a in connected_graphs_upto(n)]
         row, skipped = census_from_stream(lines)
         assert skipped == 0
         assert row == census(n)
+
+
+def test_census_solves_only_undominated_graphs():
+    # 895 of the 996 connected graphs on n <= 7 are EMPTY by domination
+    with mock.patch("graphnorm.enumeration.atom_spectrum", wraps=atom_spectrum) as spectrum:
+        rows = [census(k) for k in range(1, 8)]
+    assert spectrum.call_count == 101
+    assert [row.connected_total for row in rows] == list(CONNECTED_COUNTS.values())
+
+
+def test_census_stream_mixes_dominated_undominated_and_disconnected():
+    # every connected 7-vertex graph, plus disconnected ones (a 6-vertex graph
+    # beside an isolated vertex, a 4-vertex graph beside a triangle), shuffled
+    # over several DOMINATION_BLOCK stacks
+    triangle = np.ones((3, 3), dtype=np.int8) - np.eye(3, dtype=np.int8)
+    disconnected = [np.pad(a, (0, 1)) for a in connected_graphs_upto(6)]
+    for a in connected_graphs_upto(4):
+        pair = np.zeros((7, 7), dtype=np.int8)
+        pair[:4, :4], pair[4:, 4:] = a, triangle
+        disconnected.append(pair)
+    graphs = list(connected_graphs_upto(7)) + disconnected
+    order = np.random.default_rng(18).permutation(len(graphs))
+    lines = [write_graph6(graphs[i]) for i in order]
+    assert len(lines) > 3 * DOMINATION_BLOCK
+    with mock.patch("graphnorm.enumeration.atom_spectrum", wraps=atom_spectrum) as spectrum:
+        row, skipped = census_from_stream(lines)
+    assert skipped == len(disconnected)
+    assert row == census(7)
+    assert spectrum.call_count == 76
 
 
 def test_census_stream_n3_total():

@@ -23,6 +23,8 @@ from graphnorm import (
     run_wrgn,
 )
 from graphnorm.analysis import (
+    SpectrumKind,
+    _dominated,
     _is_connected,
     _solve_exact,
     atom_spectrum,
@@ -458,6 +460,9 @@ def _spectrum_matches_reference(adj):
         want.nullity,
         want.regular,
     )
+    # the domination lemma, against the reference's own exact solve
+    if _dominated(adj):
+        assert want.kind is SpectrumKind.EMPTY
 
 
 def test_is_connected_matches_reference_all_connected_small():
@@ -663,3 +668,14 @@ def test_correspondence_check_matches_reference_pieces(gamma):
             worst = min(descents, default=0.0)
             assert rec.worst_descent == pytest.approx(worst, rel=1e-9, abs=1e-18)
             assert rec.local_min_verified == (worst >= -DESCENT_TOL / sol.weight)
+
+
+@pytest.mark.parametrize("n,p,seed", [(12, 0.3, 1), (16, 0.3, 2), (14, 0.5, 3)])
+def test_correspondence_check_equals_report_from_reference_probes(n, p, seed):
+    # the whole report, every float included, is the one the loop-built
+    # probes give
+    g = erdos_renyi(n, p, seed)
+    got = correspondence_check(g, 1.5, 1000, seed)
+    with mock.patch("graphnorm.oracle._tangent_probes", reference.tangent_probes):
+        want = correspondence_check(g, 1.5, 1000, seed)
+    assert got == want
