@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .analysis import mis_stability
+from .dynamics import GammaSchedule, mis_stability
 from .graph import MisSolution, WeightedGraph
 from .io import SolveResult, parse_instance, parse_warm_start, read_reference_csv, write_result
 from .oracle import correspondence_check
@@ -112,8 +112,7 @@ def _parse_solution_file(text: str) -> list[int]:
 
 
 def cmd_verify(args) -> int:
-    if not 0 < args.gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    GammaSchedule.constant(args.gamma, 1)  # a bad gamma is an input error for any set
     name, g = _load_instance(args.instance)
     members = _parse_solution_file(Path(args.solution).read_text())
     sol = MisSolution.from_members(g, members)

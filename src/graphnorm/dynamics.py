@@ -5,6 +5,11 @@ with the neighbor contribution scaled by gamma and by the sqrt-weight
 ratio.  Iterating with gamma rising through 1 drives the state to the
 indicator of a maximal independent set while the energy decreases and the
 weighted mass (the relaxed objective) increases at every step.
+
+The fixed-point diagnostics live here too: the stability score of a
+maximal independent set, the residual of a state under the map, and the
+spectral radius of the map's Jacobian at a fixed point.  Every function
+that takes a gamma requires it positive and finite.
 """
 
 from __future__ import annotations
@@ -28,6 +33,14 @@ class NormalizationError(ValueError):
     """Raised when a state has a zero closed neighborhood sum."""
 
 
+def _checked_gamma(gamma) -> float:
+    """gamma as a float; raises ValueError unless it is positive and finite."""
+    gamma = float(gamma)
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
+    return gamma
+
+
 @dataclass(frozen=True)
 class GammaSchedule:
     """Interpolation plan for the regularization parameter.
@@ -44,16 +57,14 @@ class GammaSchedule:
     mode: str = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma0", float(self.gamma0))
-        object.__setattr__(self, "gamma1", float(self.gamma1))
+        object.__setattr__(self, "gamma0", _checked_gamma(self.gamma0))
+        object.__setattr__(self, "gamma1", _checked_gamma(self.gamma1))
         mode = "constant" if self.gamma0 == self.gamma1 else "linear"
         object.__setattr__(self, "mode", mode)
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
         if mode == "linear" and self.iterations < 2:
             raise ValueError("linear mode needs at least 2 iterations")
-        if not (0 < self.gamma0 < math.inf and 0 < self.gamma1 < math.inf):
-            raise ValueError("gamma must be positive and finite")
 
     @classmethod
     def constant(cls, gamma: float, iterations: int) -> "GammaSchedule":
@@ -142,7 +153,7 @@ def gn_step(g: WeightedGraph, x: np.ndarray, gamma: float) -> np.ndarray:
     to the positive denominators over an array of 0.5: an entry whose
     denominator is exactly 0, outside the map's domain, keeps that fallback.
     """
-    out, _ = _step(g, *_products(g, _checked_state(g, x)), float(gamma))
+    out, _ = _step(g, *_products(g, _checked_state(g, x)), _checked_gamma(gamma))
     return out
 
 
@@ -266,6 +277,7 @@ def fitness(
     fbar(p^k) = weighted mass of the next iterate.  Raises where a
     denominator is not positive, outside the map's domain.
     """
+    gamma = _checked_gamma(gamma)
     p = np.asarray(p, dtype=np.float64)
     q = p / g.v
     d = q + gamma * (g.adjacency() @ q)
@@ -305,3 +317,60 @@ def round_to_mis(g: WeightedGraph, x: np.ndarray) -> MisSolution:
             selected[u] = False
     greedy_complete(g, selected)
     return MisSolution.from_members(g, np.flatnonzero(selected))
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point diagnostics
+
+
+def mis_stability(g: WeightedGraph, m: MisSolution, gamma: float) -> float:
+    """Stability score of a maximal independent set.
+
+    gamma * min over outside vertices i of sum_{j in N(i) cap M} sqrt(w_j/w_i).
+    Scores above 1 mark asymptotically stable attractors.  Returns +inf when
+    M covers every vertex (edgeless graphs), where the min runs over nothing.
+    """
+    gamma = _checked_gamma(gamma)
+    members = np.asarray(m.members, dtype=np.int64)
+    if not MisSolution.from_members(g, members).maximal:
+        raise ValueError("solution is not a maximal independent set")
+    mask = np.zeros(g.n, dtype=bool)
+    mask[members] = True
+    # one pass over the CSR entries (i, j) with i outside and j a member;
+    # bincount adds each row's terms in neighbour order
+    rows = np.repeat(np.arange(g.n), g.degrees())
+    keep = ~mask[rows] & mask[g.indices]
+    i, j = rows[keep], g.indices[keep]
+    sums = np.bincount(i, weights=np.sqrt(g.w[j] / g.w[i]), minlength=g.n)
+    outside = sums[~mask]
+    return gamma * float(outside.min()) if outside.size else math.inf
+
+
+def fixed_point_residual(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
+    """Infinity-norm distance between x and its image under the map."""
+    gamma = _checked_gamma(gamma)
+    x = np.asarray(x, dtype=np.float64)
+    if not is_normalizable(g, x):
+        raise ValueError("state is not normalizable")
+    return float(np.max(np.abs(x - gn_step(g, x, gamma)))) if g.n else 0.0
+
+
+def jacobian_spectral_radius(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
+    """Spectral radius of the map's Jacobian at a fixed point.
+
+    J_ij = (delta_ij - x_i B_ij) / (Bx)_i with B the weighted regularized
+    closed adjacency operator.  Requires fixed_point_residual(x) < 1e-8.
+    The radius comes from a dense eigensolve, exact at every size, at
+    O(n^2) memory and O(n^3) time.  At the indicator of a maximal
+    independent set M the radius is 1 / mis_stability(g, M, gamma), which
+    costs O(n + m); ask that question at scale.
+    """
+    gamma = _checked_gamma(gamma)
+    x = np.asarray(x, dtype=np.float64)
+    if fixed_point_residual(g, x, gamma) >= 1e-8:
+        raise ValueError("state is not a fixed point (residual >= 1e-8)")
+    Bx = x + gamma * (g.adjacency() @ (g.v * x)) / g.v
+    B = gamma * g.adjacency().toarray() * np.outer(1.0 / g.v, g.v)
+    np.fill_diagonal(B, 1.0)
+    J = (np.eye(g.n) - x[:, None] * B) / Bx[:, None]
+    return float(np.max(np.abs(np.linalg.eigvals(J))))

@@ -11,7 +11,9 @@ Three text formats live here:
 
   parse_instance reads text with printable-ASCII data lines and plain
   ids (see its docstring) as byte arrays, in one pass; all other text,
-  valid or not, is read line by line, and an error names the first bad line.
+  valid or not, is read line by line, and an error names the first bad line
+  (a self-loop or a weight that is not positive and finite included), save
+  a weight total that overflows, which is an error of the whole file.
 
 * warm-start vectors: exactly n lines, one finite decimal per line.
 
@@ -73,6 +75,8 @@ def parse_instance(text: str) -> WeightedGraph:
     control character other than tab.
     All other text, valid or not, goes to the line reader (_read_lines),
     which defines the format and every error message and line number.
+    Every error names its line but one: a weight total that overflows
+    float64, which build_graph raises for the whole file.
     """
     instance = _read_bytes(text)
     if instance is None:
@@ -90,8 +94,10 @@ def _read_bytes(text: str):
     Reads the lines up to the problem line one at a time, then the body in
     chunks of about CHUNK_BYTES, each written into arrays sized from the
     problem line.  The text is read only if every chunk reads, there are m
-    edge lines, and the weight-line ids, sorted once, are exactly 1..n;
-    that sort also places the weights.
+    edge lines, none of them a self-loop, every weight is positive and
+    finite, and the weight-line ids, sorted once, are exactly 1..n; that
+    sort also places the weights.  Any other text, a bad line included,
+    goes to the line reader, which names the line.
     """
     if not text.isascii() and any(map(text.__contains__, "\x85\u2028\u2029")):
         return None  # line ends to str.splitlines that UTF-8 spells with bytes above 127
@@ -125,7 +131,9 @@ def _read_bytes(text: str):
             return None
         ids[at_n:next_n], values[at_n:next_n], edges[at_m:next_m] = chunk
         at_n, at_m, pos = next_n, next_m, end
-    if at_n != n or at_m != m or np.any((edges < 0) | (edges >= n)):
+    if at_n != n or at_m != m or np.any((edges < 0) | (edges >= n)) or np.any(edges[:, 0] == edges[:, 1]):
+        return None
+    if not np.all((values > 0.0) & (values < math.inf)):
         return None
     order = np.argsort(ids)
     if not np.array_equal(ids[order], np.arange(1, n + 1)):
@@ -211,7 +219,10 @@ def _read_lines(lines: list[str]):
                     raise FormatError(f"line {lineno}: vertex id {vid} outside 1..{n}")
                 if vid in weights:
                     raise FormatError(f"line {lineno}: duplicate weight for vertex {vid}")
-                weights[vid] = float(parts[2])
+                weight = float(parts[2])
+                if not 0 < weight < math.inf:
+                    raise FormatError(f"line {lineno}: weight of vertex {vid} must be positive and finite, got {weight}")
+                weights[vid] = weight
             elif kind == "e":
                 if n is None:
                     raise FormatError(f"line {lineno}: edge line before problem line")
@@ -220,6 +231,8 @@ def _read_lines(lines: list[str]):
                 u, v = int(parts[1]), int(parts[2])
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise FormatError(f"line {lineno}: edge ({u},{v}) outside 1..{n}")
+                if u == v:
+                    raise FormatError(f"line {lineno}: self-loop at vertex {u}")
                 ends += u, v
             else:
                 raise FormatError(f"line {lineno}: unknown line type {kind!r}")

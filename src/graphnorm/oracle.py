@@ -1,18 +1,21 @@
 """Exact small-instance solvers used as ground truth.
 
 Branch-and-bound maximum-weight independent set, exhaustive maximal-IS
-enumeration, and the correspondence check between stability scores and
-local minima of the quadratic form on the weight-tilted simplex.
+enumeration, the quadratic form r' (I + gamma A) r on the weight-tilted
+simplex {r >= 0 : sum sqrt(w_i) r_i = 1} with the point each independent
+set carries there, and the correspondence check between stability scores
+and local minima of that form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .analysis import mis_simplex_point, mis_stability
+from .dynamics import mis_stability
 from .graph import MisSolution, WeightedGraph, greedy_complete
 
 DESCENT_TOL = 1e-12
@@ -120,6 +123,39 @@ def enumerate_mises(g: WeightedGraph) -> list[MisSolution]:
 
     rec(0, 0, 0)
     return [MisSolution.from_members(g, _mask_members(m)) for m in results]
+
+
+# ---------------------------------------------------------------------------
+# Weight-tilted simplex quadratic form
+
+SIMPLEX_TOL = 1e-9
+
+
+def tilted_simplex_q(g: WeightedGraph, r: Sequence[float], gamma: float) -> float:
+    """Evaluate r' (I + gamma A) r on the weight-tilted simplex.
+
+    Membership (r >= 0 and sum sqrt(w_i) r_i = 1 within 1e-9) is enforced.
+    At the point carried by a maximal independent set M the value is
+    1 / weight(M).
+    """
+    r = np.asarray(r, dtype=np.float64)
+    if len(r) != g.n:
+        raise ValueError(f"vector has length {len(r)}, expected {g.n}")
+    if np.any(r < 0):
+        raise ValueError("tilted-simplex membership violated: negative entry")
+    s = float(g.v @ r)
+    if abs(s - 1.0) > SIMPLEX_TOL:
+        raise ValueError(f"tilted-simplex membership violated: sum {s!r}")
+    return float(r @ r + gamma * (r @ (g.adjacency() @ r)))
+
+
+def mis_simplex_point(g: WeightedGraph, members: Sequence[int]) -> np.ndarray:
+    """Tilted-simplex point carried by an independent set: sqrt(w_i)/W on M."""
+    idx = np.asarray(members, dtype=np.int64)
+    W = float(g.w[idx].sum())
+    r = np.zeros(g.n, dtype=np.float64)
+    r[idx] = g.v[idx] / W
+    return r
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from graphnorm.analysis import SpectrumClassification, SpectrumKind
 from graphnorm.dynamics import (
     FALLBACK_VALUE,
     NormalizationError,
@@ -27,6 +26,7 @@ from graphnorm.dynamics import (
     is_normalizable,
     weighted_mass,
 )
+from graphnorm.enumeration import SpectrumClassification, SpectrumKind
 from graphnorm.graph import GraphError, MisSolution, WeightedGraph
 from graphnorm.io import FormatError, StartRecord, make_result
 from graphnorm.oracle import PROBE_MAGNITUDE
@@ -172,7 +172,10 @@ def parse_instance(text: str) -> WeightedGraph:
                     raise FormatError(f"line {lineno}: vertex id {vid} outside 1..{n}")
                 if vid in weights:
                     raise FormatError(f"line {lineno}: duplicate weight for vertex {vid}")
-                weights[vid] = float(parts[2])
+                weight = float(parts[2])
+                if not 0 < weight < math.inf:
+                    raise FormatError(f"line {lineno}: weight of vertex {vid} must be positive and finite, got {weight}")
+                weights[vid] = weight
             elif kind == "e":
                 if n is None:
                     raise FormatError(f"line {lineno}: edge line before problem line")
@@ -181,6 +184,8 @@ def parse_instance(text: str) -> WeightedGraph:
                 u, v = int(parts[1]), int(parts[2])
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise FormatError(f"line {lineno}: edge ({u},{v}) outside 1..{n}")
+                if u == v:
+                    raise FormatError(f"line {lineno}: self-loop at vertex {u}")
                 edge_list.append((u - 1, v - 1))
             else:
                 raise FormatError(f"line {lineno}: unknown line type {kind!r}")

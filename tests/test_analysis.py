@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,19 +14,10 @@ from graphnorm import (
     round_to_mis,
     run_wrgn,
 )
-from graphnorm.analysis import (
-    SpectrumKind,
-    _dominated,
-    _positive_point,
-    atom_spectrum,
-    fixed_point_residual,
-    jacobian_spectral_radius,
-    mis_simplex_point,
-    mis_stability,
-    tilted_simplex_q,
-)
+from graphnorm.dynamics import fixed_point_residual, jacobian_spectral_radius, mis_stability
+from graphnorm.enumeration import SpectrumKind, _dominated, _positive_point, atom_spectrum
 from graphnorm.io import parse_graph6
-from graphnorm.oracle import brute_force_mwis, enumerate_mises
+from graphnorm.oracle import brute_force_mwis, enumerate_mises, mis_simplex_point, tilted_simplex_q
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +215,24 @@ def test_regular_graphs_are_atomic_with_uniform_witness():
         s = atom_spectrum(a)
         assert s.kind is not SpectrumKind.EMPTY
         assert s.witness == (Fraction(1, d + 1),) * a.shape[0]
+
+
+def test_atom_spectrum_takes_no_centroid_of_a_regular_graph():
+    # the uniform vector is a regular graph's witness; the centroid of the
+    # solution polytope was computed for it and then thrown away
+    from graphnorm.enumeration import connected_graphs_upto
+
+    regular = 0
+    for adj in (a for n in range(1, 8) for a in connected_graphs_upto(n) if not _dominated(a)):
+        with mock.patch("graphnorm.enumeration._positive_point", wraps=_positive_point) as centroid:
+            s = atom_spectrum(adj)
+        if s.regular:
+            regular += 1
+            assert not centroid.called
+    assert regular == 16
+    with mock.patch("graphnorm.enumeration._positive_point", wraps=_positive_point) as centroid:
+        s = atom_spectrum(parse_graph6("DFw"))  # irregular, with a unique positive solution
+    assert centroid.call_count == 1 and s.kind is SpectrumKind.DISCRETE and not s.regular
 
 
 def test_positive_point_is_the_vertex_centroid():

@@ -21,7 +21,7 @@ from graphnorm import (
     simplex_state,
     weighted_mass,
 )
-from graphnorm.dynamics import FALLBACK_VALUE, _products, _step
+from graphnorm.dynamics import FALLBACK_VALUE, _products, _step, fixed_point_residual, jacobian_spectral_radius
 from graphnorm.graph import WeightedGraph
 
 
@@ -75,7 +75,7 @@ def graph_and_state(draw, n_max=9, zero_ok=True):
     return g, x
 
 
-@given(graph_and_state(), st.floats(0.0, 3.0))
+@given(graph_and_state(), st.floats(0.0, 3.0, exclude_min=True))
 def test_step_bounded(gx, gamma):
     g, x = gx
     out = gn_step(g, x, gamma)
@@ -454,8 +454,26 @@ def test_fitness_isolated_vertex():
 
 def test_fitness_zero_denominator():
     p3 = build_graph(3, [(0, 1), (1, 2)], [1, 1, 1])
-    with pytest.raises(ValueError):
-        fitness(p3, np.array([1.0, 0.0, 0.0]), 0.0)
+    with pytest.raises(ValueError, match="zero denominator"):
+        fitness(p3, np.array([1.0, 0.0, 0.0]), 1.0)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, x, gamma: gn_step(g, x, gamma),
+        lambda g, x, gamma: fitness(g, simplex_state(g, x), gamma),
+        lambda g, x, gamma: fixed_point_residual(g, x, gamma),
+        lambda g, x, gamma: jacobian_spectral_radius(g, x, gamma),
+    ],
+    ids=["gn_step", "fitness", "fixed_point_residual", "jacobian_spectral_radius"],
+)
+def test_gamma_must_be_positive_and_finite(p3_uniform, call, gamma):
+    # each went on with such a gamma: at nan every step denominator is nan,
+    # so gn_step returned the 0.5 fallback and fixed_point_residual 0.5
+    with pytest.raises(ValueError, match="^gamma must be positive and finite$"):
+        call(p3_uniform, np.array([1.0, 0.0, 1.0]), gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from graphnorm.analysis import atom_spectrum
 from graphnorm.enumeration import (
     DOMINATION_BLOCK,
     CensusRow,
     _connected_codes,
+    atom_spectrum,
     canonical_form,
     census,
     census_from_stream,

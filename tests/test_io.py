@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,25 @@ def test_malformed_numbers_raise_format_error():
         parse_instance("p mwis two 1\n")
     with pytest.raises(FormatError, match="cannot parse number"):
         parse_instance("p mwis 2 1\nn 1 4\nn 2 1\ne 1 x\n")
+
+
+PLUS_SEVEN = "p mwis 7 1\n" + "".join(f"n {k} 1\n" for k in range(1, 7))  # line 8 is vertex 7's
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p mwis 5 1\n" + "".join(f"n {k} 1\n" for k in range(1, 6)) + "e 5 5\n", "line 7: self-loop at vertex 5"),
+        ("p mwis 2 1\nn 1 4\nn 2 -2\ne 1 2\n", "line 3: weight of vertex 2 must be positive and finite, got -2.0"),
+        (PLUS_SEVEN + "n +7 1\ne 7 +7\n", "line 9: self-loop at vertex 7"),
+        (PLUS_SEVEN + "n +7 nan\ne 1 7\n", "line 8: weight of vertex 7 must be positive and finite, got nan"),
+    ],
+    ids=["byte-self-loop", "byte-weight", "plus-self-loop", "plus-weight"],
+)
+def test_instance_error_names_line_and_1_based_id(text, message):
+    # both came from build_graph, with no line and a 0-based vertex
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_instance(text)
 
 
 def test_instance_roundtrip():

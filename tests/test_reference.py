@@ -22,17 +22,16 @@ from graphnorm import (
     round_to_mis,
     run_wrgn,
 )
-from graphnorm.analysis import (
+from graphnorm.dynamics import mis_stability
+from graphnorm.enumeration import (
     SpectrumKind,
     _dominated,
     _is_connected,
     _solve_exact,
     atom_spectrum,
-    mis_simplex_point,
-    mis_stability,
-    tilted_simplex_q,
+    canonical_form,
+    connected_graphs_upto,
 )
-from graphnorm.enumeration import canonical_form, connected_graphs_upto
 from graphnorm.io import (
     FormatError,
     graph6_adjacency,
@@ -42,7 +41,14 @@ from graphnorm.io import (
     write_graph6,
     write_instance,
 )
-from graphnorm.oracle import DESCENT_TOL, _tangent_probes, correspondence_check, enumerate_mises
+from graphnorm.oracle import (
+    DESCENT_TOL,
+    _tangent_probes,
+    correspondence_check,
+    enumerate_mises,
+    mis_simplex_point,
+    tilted_simplex_q,
+)
 
 
 @st.composite
@@ -279,7 +285,10 @@ def test_parse_instance_byte_reader_reads_written_instances(n, p, seed, comment)
     [
         "p mwis 2 1\nn 1 4\nn 2 1\ne 1 2\nn 1 3\n",  # duplicate weight in a later chunk
         "p mwis 3 0\nn 1 4\nn 2 x\nn 2 1\n",  # bad number before a duplicate
-        "p mwis 2 1\nn 1 4\nn 2 1\ne 2 2\n",  # self-loop reported 0-based
+        "p mwis 2 1\nn 1 4\nn 2 1\ne 2 2\n",  # self-loop reported at its line, 1-based
+        "p mwis 2 1\nn 1 4\nn 2 -2\ne 1 2\n",  # a weight that is not positive, at its line
+        "p mwis 3 1\nn 1 4\nn 2 1\nn +3 1\ne +3 3\n",  # a self-loop outside the byte grammar
+        "p mwis 3 1\nn 1 4\nn 2 1\nn +3 inf\ne 1 2\n",  # a weight that is not finite, the same
         "c only comments\n\n",
         "p mwis 500 0\nn 1 1\n",  # fewer lines than vertices
         "p mwis 500 3\nn 1 1\ne 1 2\n",  # the edge count wins over a missing weight

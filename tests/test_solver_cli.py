@@ -379,6 +379,20 @@ def test_cli_atoms_never_imports_scipy():
     assert "19.0%" in done.stdout
 
 
+def test_cli_import_loads_no_census_code():
+    # solve, verify and oracle need neither the exact census nor Fraction;
+    # atoms imports them when it runs
+    code = (
+        "import sys, graphnorm.cli\n"
+        "loaded = sorted({'fractions', 'graphnorm.enumeration'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("n", ["0", "8"])
 def test_cli_atoms_cumulative_rejects_order(n, capsys):
     with mock.patch("graphnorm.enumeration.atom_spectrum") as spectrum:
