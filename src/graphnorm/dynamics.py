@@ -6,10 +6,10 @@ ratio.  Iterating with gamma rising through 1 drives the state to the
 indicator of a maximal independent set while the energy decreases and the
 weighted mass (the relaxed objective) increases at every step.
 
-The fixed-point diagnostics live here too: the stability score of a
-maximal independent set, the residual of a state under the map, and the
-spectral radius of the map's Jacobian at a fixed point.  Every function
-that takes a gamma requires it positive and finite.
+The stability score of a maximal independent set lives here too: the
+inverse of the spectral radius of the map's Jacobian at the set's
+indicator, computed in O(n + m).  Every function that takes a gamma
+requires it positive and finite.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ def energy(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
     the Lyapunov function the dynamics strictly decrease at fixed gamma.
     """
     x = _checked_state(g, x)
-    return _energy(g, x, *_products(g, x), gamma)
+    return _energy(g, x, *_products(g, x), _checked_gamma(gamma))
 
 
 def weighted_mass(g: WeightedGraph, x: np.ndarray) -> float:
@@ -344,33 +344,3 @@ def mis_stability(g: WeightedGraph, m: MisSolution, gamma: float) -> float:
     sums = np.bincount(i, weights=np.sqrt(g.w[j] / g.w[i]), minlength=g.n)
     outside = sums[~mask]
     return gamma * float(outside.min()) if outside.size else math.inf
-
-
-def fixed_point_residual(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
-    """Infinity-norm distance between x and its image under the map."""
-    gamma = _checked_gamma(gamma)
-    x = np.asarray(x, dtype=np.float64)
-    if not is_normalizable(g, x):
-        raise ValueError("state is not normalizable")
-    return float(np.max(np.abs(x - gn_step(g, x, gamma)))) if g.n else 0.0
-
-
-def jacobian_spectral_radius(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
-    """Spectral radius of the map's Jacobian at a fixed point.
-
-    J_ij = (delta_ij - x_i B_ij) / (Bx)_i with B the weighted regularized
-    closed adjacency operator.  Requires fixed_point_residual(x) < 1e-8.
-    The radius comes from a dense eigensolve, exact at every size, at
-    O(n^2) memory and O(n^3) time.  At the indicator of a maximal
-    independent set M the radius is 1 / mis_stability(g, M, gamma), which
-    costs O(n + m); ask that question at scale.
-    """
-    gamma = _checked_gamma(gamma)
-    x = np.asarray(x, dtype=np.float64)
-    if fixed_point_residual(g, x, gamma) >= 1e-8:
-        raise ValueError("state is not a fixed point (residual >= 1e-8)")
-    Bx = x + gamma * (g.adjacency() @ (g.v * x)) / g.v
-    B = gamma * g.adjacency().toarray() * np.outer(1.0 / g.v, g.v)
-    np.fill_diagonal(B, 1.0)
-    J = (np.eye(g.n) - x[:, None] * B) / Bx[:, None]
-    return float(np.max(np.abs(np.linalg.eigvals(J))))

@@ -80,7 +80,11 @@ def _canonical_codes(n: int, codes: np.ndarray) -> np.ndarray:
 
 
 def canonical_form(adj: np.ndarray) -> int:
-    """Minimal graph6 code (graph6_code) over all vertex permutations."""
+    """Minimal graph6 code (graph6_code) over all vertex permutations.
+
+    No program path calls it (the census calls _canonical_codes); it stays
+    while perfbench/spans.py wraps it for its enumeration metrics.
+    """
     return int(_canonical_codes(len(adj), np.array([graph6_code(adj)]))[0])
 
 

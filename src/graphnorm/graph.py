@@ -1,4 +1,4 @@
-"""Immutable weighted-graph representation and independent-set checks.
+"""Immutable weighted-graph representation, graph construction, and independent-set checks.
 
 Graphs are simple, undirected, with strictly positive vertex weights.
 The adjacency has one store: a scipy CSR matrix of ones whose row
@@ -7,13 +7,14 @@ whenever the graph fits, as scipy would choose, and ``indptr``/``indices`` are
 those same arrays, read-only, not copies.  The square roots of the weights
 are cached because the dynamics use them on every step.  scipy is imported
 by the first graph built, so code that builds none (the atomic census)
-never loads it.
+never loads it.  The graph is read through that store (neighbour lists,
+degrees, the adjacency matrix); it keeps no edge-list view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -67,17 +68,6 @@ class WeightedGraph:
     def adjacency(self) -> sp.csr_matrix:
         """Sparse 0/1 adjacency matrix (shared, read-only)."""
         return self._adj
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints (u, v) with u < v, in ascending order, as two arrays."""
-        rows = np.repeat(np.arange(self.n, dtype=self.indices.dtype), self.degrees())
-        upper = self.indices > rows
-        return rows[upper], self.indices[upper]
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as (u, v) with u < v, in ascending order."""
-        u, v = self.edge_arrays()
-        return zip(u.tolist(), v.tolist())
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.num_edges})"

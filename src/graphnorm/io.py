@@ -1,6 +1,6 @@
-"""Instance, vector, and result serialization.
+"""Readers for instances, warm-start vectors and graph6 records; the result writer.
 
-Three text formats live here:
+Three input formats are read here:
 
 * MWIS instances, DIMACS-flavored::
 
@@ -22,7 +22,7 @@ Three text formats live here:
   6 bits per payload byte offset by 63; graph6_code reads the payload
   bits before padding as one integer, the enumeration's graph code.
 
-Solve results are JSON whose keys are the fields of SolveResult and
+Solve results are written as JSON keyed by the fields of SolveResult and
 StartRecord in order; write_result states the one rule for every value.
 """
 
@@ -45,7 +45,7 @@ FORMAT_VERSION = "0.1.0"
 
 
 class FormatError(ValueError):
-    """Raised on malformed instance, vector, graph6, or result text."""
+    """Raised on malformed instance, vector, or graph6 text."""
 
 
 # ---------------------------------------------------------------------------
@@ -250,38 +250,24 @@ def _read_lines(lines: list[str]):
     return n, np.array(ends, dtype=np.int64).reshape(-1, 2) - 1, [weights[vid] for vid in range(1, n + 1)]
 
 
-def write_instance(g: WeightedGraph, comment: Optional[str] = None) -> str:
-    """Render a graph in the instance format (edges canonicalized u < v)."""
-    head = [f"c {c}" for c in comment.splitlines()] if comment else []
-    head.append(f"p mwis {g.n} {g.num_edges}")
-    u, v = g.edge_arrays()
-    return "".join(
-        [
-            "\n".join(head) + "\n",
-            "".join(map("n {} {!r}\n".format, range(1, g.n + 1), g.w.tolist())),
-            "".join(map("e {} {}\n".format, (u + 1).tolist(), (v + 1).tolist())),
-        ]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Warm-start vectors
 
 
 def parse_warm_start(text: str, n: int) -> np.ndarray:
-    """Parse a fractional start: exactly n non-empty lines of finite decimals."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    """Parse a fractional start: exactly n non-empty lines of finite decimals; errors name the file line."""
+    lines = [(lineno, ln.strip()) for lineno, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(lineno, ln) for lineno, ln in lines if ln]
     if len(lines) != n:
         raise FormatError(f"warm start has {len(lines)} values, expected {n}")
     values = np.empty(n, dtype=np.float64)
-    for i, ln in enumerate(lines):
+    for i, (lineno, ln) in enumerate(lines):
         try:
             values[i] = float(ln)
         except ValueError as exc:
-            raise FormatError(f"warm start line {i + 1}: cannot parse {ln!r}") from exc
+            raise FormatError(f"warm start line {lineno}: cannot parse {ln!r}") from exc
         if not np.isfinite(values[i]):
-            raise FormatError(f"warm start line {i + 1}: non-finite value {ln!r}")
+            raise FormatError(f"warm start line {lineno}: non-finite value {ln!r}")
     return values
 
 
@@ -333,17 +319,6 @@ def parse_graph6(line: str) -> np.ndarray:
         )
     bits = "".join(f"{ord(ch) - 63:06b}" for ch in payload)
     return graph6_adjacency(n, int("0" + bits[:nbits], 2))
-
-
-def write_graph6(adj: np.ndarray) -> str:
-    """Encode a symmetric 0/1 adjacency matrix as one graph6 record."""
-    n = len(adj)
-    if n > 62:
-        raise FormatError("graph6 writer supports n <= 62")
-    nbits = n * (n - 1) // 2
-    width = (nbits + 5) // 6 * 6  # the payload's bits, padded to whole characters
-    bits = f"{graph6_code(adj) << (width - nbits):0{width}b}"
-    return chr(n + 63) + "".join(chr(63 + int(bits[k : k + 6], 2)) for k in range(0, nbits, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +403,11 @@ def write_result(result: SolveResult) -> str:
     """Render a result as JSON, by one rule for every field.
 
     The JSON is asdict(result) with its keys in field order, every float
-    at 12 significant digits, and every field that is None left out, so
-    write -> parse -> write is byte-identical.  A float that is not finite
-    has no JSON form and raises ValueError; for a gap, the message names
-    the best objective and the reference it was measured against.
+    at 12 significant digits, and every field that is None left out, so a
+    result read back from the JSON writes the same bytes.  A float that is
+    not finite has no JSON form and raises ValueError; for a gap, the
+    message names the best objective and the reference it was measured
+    against.
     """
     if result.gap_percent is not None and not math.isfinite(result.gap_percent):
         raise ValueError(
@@ -439,15 +415,6 @@ def write_result(result: SolveResult) -> str:
             " gives a non-finite gap, which has no JSON form"
         )
     return json.dumps(_canonical(asdict(result)), indent=2, allow_nan=False) + "\n"
-
-
-def parse_result(text: str) -> SolveResult:
-    """Read write_result's JSON; any other layout, or a missing or unknown key, raises FormatError."""
-    try:
-        obj = json.loads(text)
-        return SolveResult(**{**obj, "starts": tuple(StartRecord(**s) for s in obj["starts"])})
-    except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
-        raise FormatError(f"malformed result JSON: {exc!r}") from exc
 
 
 def read_reference_csv(text: str) -> dict[str, float]:

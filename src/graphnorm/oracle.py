@@ -1,10 +1,10 @@
 """Exact small-instance solvers used as ground truth.
 
 Branch-and-bound maximum-weight independent set, exhaustive maximal-IS
-enumeration, the quadratic form r' (I + gamma A) r on the weight-tilted
-simplex {r >= 0 : sum sqrt(w_i) r_i = 1} with the point each independent
-set carries there, and the correspondence check between stability scores
-and local minima of that form.
+enumeration, the point each independent set carries on the weight-tilted
+simplex {r >= 0 : sum sqrt(w_i) r_i = 1}, and the correspondence check
+between stability scores and local minima there of the quadratic form
+r' (I + gamma A) r.
 """
 
 from __future__ import annotations
@@ -125,30 +125,6 @@ def enumerate_mises(g: WeightedGraph) -> list[MisSolution]:
     return [MisSolution.from_members(g, _mask_members(m)) for m in results]
 
 
-# ---------------------------------------------------------------------------
-# Weight-tilted simplex quadratic form
-
-SIMPLEX_TOL = 1e-9
-
-
-def tilted_simplex_q(g: WeightedGraph, r: Sequence[float], gamma: float) -> float:
-    """Evaluate r' (I + gamma A) r on the weight-tilted simplex.
-
-    Membership (r >= 0 and sum sqrt(w_i) r_i = 1 within 1e-9) is enforced.
-    At the point carried by a maximal independent set M the value is
-    1 / weight(M).
-    """
-    r = np.asarray(r, dtype=np.float64)
-    if len(r) != g.n:
-        raise ValueError(f"vector has length {len(r)}, expected {g.n}")
-    if np.any(r < 0):
-        raise ValueError("tilted-simplex membership violated: negative entry")
-    s = float(g.v @ r)
-    if abs(s - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"tilted-simplex membership violated: sum {s!r}")
-    return float(r @ r + gamma * (r @ (g.adjacency() @ r)))
-
-
 def mis_simplex_point(g: WeightedGraph, members: Sequence[int]) -> np.ndarray:
     """Tilted-simplex point carried by an independent set: sqrt(w_i)/W on M."""
     idx = np.asarray(members, dtype=np.int64)
@@ -255,7 +231,7 @@ def correspondence_check(
         stab = mis_stability(g, sol, gamma)
         r = mis_simplex_point(g, members)
         # r is 0 off M and (Br)_i = r_i on M, so r.Br multiplies the pairs
-        # tilted_simplex_q does, and its gamma r.Ar term is exactly 0
+        # r.r + gamma r.Ar does, and its gamma r.Ar term is exactly 0
         Br = B @ r
         q = float(r @ Br)
         q_matches = abs(q - 1.0 / sol.weight) <= Q_MATCH_TOL / sol.weight

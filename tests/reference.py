@@ -5,14 +5,22 @@ per-line or per-bit loop the package's array code must agree with, bit
 for bit and message for message.  The differential tests in
 test_reference.py and test_solver_cli.py compare the two; nothing in
 the package imports this module.
+
+The last section holds checks that no program path needs, against which
+tests hold kept package code: the dense Jacobian radius at a fixed point
+(1/mis_stability at an MIS indicator), the tilted-simplex quadratic form
+(correspondence_check's q_value, bit for bit), and the reader of
+write_result's JSON (for the write -> parse -> write round trip).
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +28,9 @@ from graphnorm.dynamics import (
     FALLBACK_VALUE,
     NormalizationError,
     SolveTrace,
+    _checked_gamma,
     energy,
+    gn_step,
     init_random,
     init_warm,
     is_normalizable,
@@ -28,7 +38,7 @@ from graphnorm.dynamics import (
 )
 from graphnorm.enumeration import SpectrumClassification, SpectrumKind
 from graphnorm.graph import GraphError, MisSolution, WeightedGraph
-from graphnorm.io import FormatError, StartRecord, make_result
+from graphnorm.io import FormatError, SolveResult, StartRecord, make_result
 from graphnorm.oracle import PROBE_MAGNITUDE
 
 
@@ -596,3 +606,68 @@ def mis_stability(g, m, gamma) -> float:
         s = float(np.sum(np.sqrt(g.w[nb[mask[nb]]] / g.w[i])))
         best = min(best, s)
     return gamma * best if best < math.inf else math.inf
+
+
+# ---------------------------------------------------------------------------
+# Checks no program path needs: fixed-point residual and Jacobian radius,
+# tilted-simplex quadratic form, result reader
+
+
+def fixed_point_residual(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
+    """Infinity-norm distance between x and its image under the map."""
+    gamma = _checked_gamma(gamma)
+    x = np.asarray(x, dtype=np.float64)
+    if not is_normalizable(g, x):
+        raise ValueError("state is not normalizable")
+    return float(np.max(np.abs(x - gn_step(g, x, gamma)))) if g.n else 0.0
+
+
+def jacobian_spectral_radius(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
+    """Spectral radius of the map's Jacobian at a fixed point.
+
+    J_ij = (delta_ij - x_i B_ij) / (Bx)_i with B the weighted regularized
+    closed adjacency operator.  Requires fixed_point_residual(x) < 1e-8.
+    The radius comes from a dense eigensolve, exact at every size, at
+    O(n^2) memory and O(n^3) time.  At the indicator of a maximal
+    independent set M the radius is 1 / mis_stability(g, M, gamma), which
+    costs O(n + m); ask that question at scale.
+    """
+    gamma = _checked_gamma(gamma)
+    x = np.asarray(x, dtype=np.float64)
+    if fixed_point_residual(g, x, gamma) >= 1e-8:
+        raise ValueError("state is not a fixed point (residual >= 1e-8)")
+    Bx = x + gamma * (g.adjacency() @ (g.v * x)) / g.v
+    B = gamma * g.adjacency().toarray() * np.outer(1.0 / g.v, g.v)
+    np.fill_diagonal(B, 1.0)
+    J = (np.eye(g.n) - x[:, None] * B) / Bx[:, None]
+    return float(np.max(np.abs(np.linalg.eigvals(J))))
+
+
+SIMPLEX_TOL = 1e-9
+
+
+def tilted_simplex_q(g: WeightedGraph, r: Sequence[float], gamma: float) -> float:
+    """Evaluate r' (I + gamma A) r on the weight-tilted simplex.
+
+    Membership (r >= 0 and sum sqrt(w_i) r_i = 1 within 1e-9) is enforced.
+    At the point carried by a maximal independent set M the value is
+    1 / weight(M).
+    """
+    r = np.asarray(r, dtype=np.float64)
+    if len(r) != g.n:
+        raise ValueError(f"vector has length {len(r)}, expected {g.n}")
+    if np.any(r < 0):
+        raise ValueError("tilted-simplex membership violated: negative entry")
+    s = float(g.v @ r)
+    if abs(s - 1.0) > SIMPLEX_TOL:
+        raise ValueError(f"tilted-simplex membership violated: sum {s!r}")
+    return float(r @ r + gamma * (r @ (g.adjacency() @ r)))
+
+
+def parse_result(text: str) -> SolveResult:
+    """Read write_result's JSON; any other layout, or a missing or unknown key, raises FormatError."""
+    try:
+        obj = json.loads(text)
+        return SolveResult(**{**obj, "starts": tuple(StartRecord(**s) for s in obj["starts"])})
+    except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
+        raise FormatError(f"malformed result JSON: {exc!r}") from exc

@@ -26,10 +26,10 @@ from graphnorm import (
 )
 from graphnorm.cli import main
 from graphnorm.enumeration import census
-from graphnorm.io import parse_result
 from graphnorm.oracle import brute_force_mwis, correspondence_check
 
 from exhaustive import exhaustive_mwis
+from reference import parse_result
 
 CORPUS_SIZE = 200
 

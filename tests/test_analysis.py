@@ -14,10 +14,11 @@ from graphnorm import (
     round_to_mis,
     run_wrgn,
 )
-from graphnorm.dynamics import fixed_point_residual, jacobian_spectral_radius, mis_stability
+from graphnorm.dynamics import mis_stability
 from graphnorm.enumeration import SpectrumKind, _dominated, _positive_point, atom_spectrum
 from graphnorm.io import parse_graph6
-from graphnorm.oracle import brute_force_mwis, enumerate_mises, mis_simplex_point, tilted_simplex_q
+from graphnorm.oracle import brute_force_mwis, enumerate_mises, mis_simplex_point
+from reference import fixed_point_residual, jacobian_spectral_radius, tilted_simplex_q
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ from graphnorm import (
     simplex_state,
     weighted_mass,
 )
-from graphnorm.dynamics import FALLBACK_VALUE, _products, _step, fixed_point_residual, jacobian_spectral_radius
+from graphnorm.dynamics import FALLBACK_VALUE, _products, _step
 from graphnorm.graph import WeightedGraph
+
+import reference
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,7 @@ def test_step_weight_scale_is_exact(gx, data, gamma, k):
     g, x = gx
     zero = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
     x = np.where(zero, 0.0, x)
-    scaled = build_graph(g.n, np.column_stack(g.edge_arrays()), g.w * 4.0**k)
+    scaled = build_graph(g.n, reference.edges(g), g.w * 4.0**k)
     out, fallbacks = _step(g, *_products(g, x), gamma)
     out_scaled, fallbacks_scaled = _step(scaled, *_products(scaled, x), gamma)
     np.testing.assert_array_equal(out_scaled, out)
@@ -302,7 +304,7 @@ def test_weight_scale_keeps_rounded_members(scale):
         g = erdos_renyi(n, 0.3, [606, k])
         x0 = init_random(n, k)
         x, _ = run_wrgn(g, x0, schedule)
-        scaled = build_graph(g.n, np.column_stack(g.edge_arrays()), g.w * scale)
+        scaled = build_graph(g.n, reference.edges(g), g.w * scale)
         x_scaled, trace = run_wrgn(scaled, x0, schedule)
         assert trace.total_fallbacks == 0
         assert round_to_mis(scaled, x_scaled).members == round_to_mis(g, x).members
@@ -464,14 +466,16 @@ def test_fitness_zero_denominator():
     [
         lambda g, x, gamma: gn_step(g, x, gamma),
         lambda g, x, gamma: fitness(g, simplex_state(g, x), gamma),
-        lambda g, x, gamma: fixed_point_residual(g, x, gamma),
-        lambda g, x, gamma: jacobian_spectral_radius(g, x, gamma),
+        lambda g, x, gamma: energy(g, x, gamma),
+        lambda g, x, gamma: reference.fixed_point_residual(g, x, gamma),
+        lambda g, x, gamma: reference.jacobian_spectral_radius(g, x, gamma),
     ],
-    ids=["gn_step", "fitness", "fixed_point_residual", "jacobian_spectral_radius"],
+    ids=["gn_step", "fitness", "energy", "fixed_point_residual", "jacobian_spectral_radius"],
 )
 def test_gamma_must_be_positive_and_finite(p3_uniform, call, gamma):
     # each went on with such a gamma: at nan every step denominator is nan,
-    # so gn_step returned the 0.5 fallback and fixed_point_residual 0.5
+    # so gn_step returned the 0.5 fallback, fixed_point_residual 0.5 and
+    # energy nan
     with pytest.raises(ValueError, match="^gamma must be positive and finite$"):
         call(p3_uniform, np.array([1.0, 0.0, 1.0]), gamma)
 

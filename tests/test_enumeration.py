@@ -14,7 +14,7 @@ from graphnorm.enumeration import (
     connected_graphs_upto,
     format_census_table,
 )
-from graphnorm.io import write_graph6
+from reference import write_graph6
 
 # published counts of connected graphs per order
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}

@@ -13,13 +13,11 @@ from graphnorm.io import (
     make_result,
     parse_graph6,
     parse_instance,
-    parse_result,
     parse_warm_start,
     read_reference_csv,
-    write_graph6,
-    write_instance,
     write_result,
 )
+from reference import parse_result, write_graph6, write_instance
 
 K2_TEXT = "p mwis 2 1\nn 1 4\nn 2 1\ne 1 2\n"
 
@@ -96,6 +94,11 @@ def test_parse_warm_start():
         parse_warm_start("0.5\nfoo\n", 2)
     with pytest.raises(FormatError, match="warm start line 2: cannot parse '1 2'"):
         parse_warm_start("0.5\n1 2\n", 2)
+    # an error names the file's line, blank lines counted
+    with pytest.raises(FormatError, match="^warm start line 3: cannot parse 'abc'$"):
+        parse_warm_start("0.5\n\nabc\n", 2)
+    with pytest.raises(FormatError, match="^warm start line 4: non-finite value 'inf'$"):
+        parse_warm_start("\n\n0.5\ninf\n", 2)
 
 
 def test_graph6_k2():

@@ -13,6 +13,7 @@ from graphnorm.oracle import (
 )
 
 from exhaustive import exhaustive_maximal_sets, exhaustive_mwis
+import reference
 
 
 def test_brute_force_k2(k2_heavy):
@@ -216,7 +217,7 @@ def test_correspondence_flags_are_scale_free(scale):
     # Q at the point of an MIS of weight W is 1/W: probes and tolerances scale with it
     for k in range(30):
         g = erdos_renyi(12, 0.3, k)
-        scaled = build_graph(g.n, list(g.edges()), g.w * scale)
+        scaled = build_graph(g.n, reference.edges(g), g.w * scale)
         flags = [
             [(r.local_min_verified, r.q_matches) for r in correspondence_check(h, 1.5, 1000).mis_list]
             for h in (g, scaled)

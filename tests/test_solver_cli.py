@@ -22,7 +22,7 @@ from graphnorm import (
     init_random,
 )
 from graphnorm.cli import _config_from_args, build_parser, exit_code_for, main
-from graphnorm.io import SolveResult, StartRecord, parse_result, write_instance, write_result
+from graphnorm.io import SolveResult, StartRecord, write_result
 from graphnorm.oracle import MisCorrespondence, OracleReport
 from graphnorm.solver import RunConfig, solve_instance
 
@@ -194,7 +194,7 @@ def test_cli_solve_writes_result(k2_file, tmp_path, capsys):
         ["solve", str(k2_file), "--starts", "2", "--iterations", "200", "--output", str(out)]
     )
     assert code == 0
-    result = parse_result(out.read_text())
+    result = reference.parse_result(out.read_text())
     assert result.best_objective == 4.0
     assert result.n == 2 and result.edges == 1
 
@@ -227,7 +227,7 @@ def test_cli_solve_with_reference_and_trace(k2_file, tmp_path):
         ]
     )
     assert code == 0
-    assert parse_result(out.read_text()).gap_percent == pytest.approx(0.0)
+    assert reference.parse_result(out.read_text()).gap_percent == pytest.approx(0.0)
     traces = json.loads(Path(str(out) + ".trace.json").read_text())
     assert set(traces) == {"seed-0.0", "seed-0.1"}
     energies = traces["seed-0.0"]["energy"]
@@ -405,10 +405,9 @@ def test_cli_atoms_cumulative_rejects_order(n, capsys):
 
 def test_cli_atoms_graph6(tmp_path, capsys):
     from graphnorm.enumeration import connected_graphs_upto
-    from graphnorm.io import write_graph6
 
     f = tmp_path / "graphs.g6"
-    f.write_text("\n".join(write_graph6(a) for a in connected_graphs_upto(4)) + "\n")
+    f.write_text("\n".join(reference.write_graph6(a) for a in connected_graphs_upto(4)) + "\n")
     assert main(["atoms", "--graph6", str(f)]) == 0
     out = capsys.readouterr().out
     assert "6" in out and "2" in out
@@ -534,7 +533,7 @@ def test_result_renders_int_inputs_as_floats(k2_heavy):
 def test_cli_bench(tmp_path, capsys):
     (tmp_path / "k2.mwis").write_text(K2_TEXT)
     g = build_graph(3, [(0, 1), (1, 2)], [1.0, 3.0, 1.0])
-    (tmp_path / "p3.mwis").write_text(write_instance(g))
+    (tmp_path / "p3.mwis").write_text(reference.write_instance(g))
     refs = tmp_path / "refs.csv"
     refs.write_text("k2,4\np3,3\n")
     results = tmp_path / "results"
@@ -556,7 +555,7 @@ def test_cli_bench(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0.00%" in out
     assert (results / "k2.json").exists() and (results / "p3.json").exists()
-    assert parse_result((results / "p3.json").read_text()).best_objective == 3.0
+    assert reference.parse_result((results / "p3.json").read_text()).best_objective == 3.0
 
 
 def test_cli_bench_sweeps_dimacs_files_after_mwis_files(tmp_path, capsys):
@@ -570,7 +569,7 @@ def test_cli_bench_sweeps_dimacs_files_after_mwis_files(tmp_path, capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split()[0] for row in rows] == ["z", "a"]
     assert sorted(p.name for p in results.iterdir()) == ["a.json", "z.json"]
-    assert parse_result((results / "a.json").read_text()).best_objective == 4.0
+    assert reference.parse_result((results / "a.json").read_text()).best_objective == 4.0
 
 
 def test_cli_bench_overflowing_gap_is_an_input_error_row(tmp_path, capsys):
@@ -589,7 +588,7 @@ def test_cli_bench_overflowing_gap_is_an_input_error_row(tmp_path, capsys):
     assert "inf" not in out.replace("1e+300", "")
     assert "aggregate" in out and "0.00%" in out
     assert not (results / "big.json").exists()
-    assert parse_result((results / "k2.json").read_text()).best_objective == 4.0
+    assert reference.parse_result((results / "k2.json").read_text()).best_objective == 4.0
 
 
 def test_cli_bench_overflowing_mean_gap_is_an_input_error_row(tmp_path, capsys):
@@ -639,7 +638,7 @@ def test_cli_bench_unreadable_instance_is_an_error_row(tmp_path, capsys):
 def test_cli_bench_writes_what_solve_writes(tmp_path, capsys):
     (tmp_path / "k2.mwis").write_text(K2_TEXT)
     g = build_graph(3, [(0, 1), (1, 2)], [1.0, 3.0, 1.0])
-    (tmp_path / "p3.mwis").write_text(write_instance(g))
+    (tmp_path / "p3.mwis").write_text(reference.write_instance(g))
     refs = tmp_path / "refs.csv"
     refs.write_text("k2,4\n")
     flags = ["--reference", str(refs), "--starts", "3", "--iterations", "150", "--seed", "7"]
