@@ -1,12 +1,11 @@
 """Connected-graph enumeration and the atomic census.
 
 A small graph is coded as an integer: its graph6 payload bits before
-padding, first pair most significant (io.graph6_code).  Graphs on up
-to 7 vertices are generated one representative per isomorphism class
-by vertex augmentation, which in this bit order appends the new
-vertex's column to its parent's code, and deduplicated by brute-force
-canonical forms (the minimal code over all vertex permutations).
-Larger orders are served through external graph6 streams.
+padding, first pair most significant.  Graphs on up to 7 vertices come
+one per isomorphism class from vertex augmentation, which in this bit
+order appends the new vertex's column to its parent's code, deduplicated
+by brute-force canonical forms (canonical_form).  Larger orders come
+from external graph6 streams.
 
 The census counts each connected graph by the exact classification of
 its full-support fixed points (atom_spectrum): the strictly positive
@@ -26,7 +25,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .io import graph6_adjacency, graph6_code, graph6_pairs, parse_graph6
+from .io import graph6_adjacency, graph6_pairs, parse_graph6
 
 MAX_BUILTIN_N = 7
 
@@ -73,19 +72,13 @@ def _perm_matrix(n: int) -> np.ndarray:
     return matrix
 
 
-def _canonical_codes(n: int, codes: np.ndarray) -> np.ndarray:
-    """Minimal code over all vertex permutations, for each code on n vertices."""
+def canonical_form(n: int, codes: np.ndarray) -> np.ndarray:
+    """Minimal code over all vertex permutations, for each code on n vertices.
+
+    Exact for n <= 10 (_perm_matrix's float64 bound); the benchmark times each call.
+    """
     bits = (codes[:, None] >> np.arange(n * (n - 1) // 2 - 1, -1, -1)) & 1
     return (bits @ _perm_matrix(n)).min(axis=1).astype(np.int64)
-
-
-def canonical_form(adj: np.ndarray) -> int:
-    """Minimal graph6 code (graph6_code) over all vertex permutations.
-
-    No program path calls it (the census calls _canonical_codes); it stays
-    while perfbench/spans.py wraps it for its enumeration metrics.
-    """
-    return int(_canonical_codes(len(adj), np.array([graph6_code(adj)]))[0])
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +96,7 @@ def _connected_codes(n: int) -> tuple[int, ...]:
     hoods = np.arange(1, 1 << (n - 1), dtype=np.int64)
     seen: set[int] = set()
     for parent in _connected_codes(n - 1):
-        seen.update(_canonical_codes(n, (parent << (n - 1)) | hoods).tolist())
+        seen.update(canonical_form(n, (parent << (n - 1)) | hoods).tolist())
     return tuple(sorted(seen))
 
 

@@ -19,8 +19,8 @@ Three input formats are read here:
 
 * graph6 records: standard sparse-graph encoding, one per line,
   single size byte (n <= 62), upper-triangle bits column-major,
-  6 bits per payload byte offset by 63; graph6_code reads the payload
-  bits before padding as one integer, the enumeration's graph code.
+  6 bits per payload byte offset by 63; the enumeration's graph code is
+  the payload bits before padding as one integer (graph6_adjacency).
 
 Solve results are written as JSON keyed by the fields of SolveResult and
 StartRecord in order; write_result states the one rule for every value.
@@ -282,14 +282,8 @@ def graph6_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def graph6_code(adj: np.ndarray) -> int:
-    """The graph6 payload bits before padding as one integer, first pair most significant."""
-    i, j = graph6_pairs(len(adj))
-    return int(b"0" + np.where(np.asarray(adj)[i, j], b"1", b"0").tobytes(), 2)
-
-
 def graph6_adjacency(n: int, code: int) -> np.ndarray:
-    """The symmetric 0/1 int8 adjacency matrix whose graph6_code is code."""
+    """The symmetric 0/1 int8 adjacency matrix whose graph6 payload bits before padding read as code."""
     i, j = graph6_pairs(n)
     bits = f"{code:0{len(i)}b}"[: len(i)]  # the slice drops the lone "0" when there is no pair
     adj = np.zeros((n, n), dtype=np.int8)

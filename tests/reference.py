@@ -9,8 +9,11 @@ the package imports this module.
 The last section holds checks that no program path needs, against which
 tests hold kept package code: the dense Jacobian radius at a fixed point
 (1/mis_stability at an MIS indicator), the tilted-simplex quadratic form
-(correspondence_check's q_value, bit for bit), and the reader of
-write_result's JSON (for the write -> parse -> write round trip).
+(correspondence_check's q_value, bit for bit), the reader of
+write_result's JSON (for the write -> parse -> write round trip), and the
+graph6 code of an adjacency matrix (graph6_adjacency's inverse), with
+which canonical_code puts one graph through the package's batched
+canonical_form.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from graphnorm import enumeration
 from graphnorm.dynamics import (
     FALLBACK_VALUE,
     NormalizationError,
@@ -38,7 +42,7 @@ from graphnorm.dynamics import (
 )
 from graphnorm.enumeration import SpectrumClassification, SpectrumKind
 from graphnorm.graph import GraphError, MisSolution, WeightedGraph
-from graphnorm.io import FormatError, SolveResult, StartRecord, make_result
+from graphnorm.io import FormatError, SolveResult, StartRecord, graph6_pairs, make_result
 from graphnorm.oracle import PROBE_MAGNITUDE
 
 
@@ -610,7 +614,7 @@ def mis_stability(g, m, gamma) -> float:
 
 # ---------------------------------------------------------------------------
 # Checks no program path needs: fixed-point residual and Jacobian radius,
-# tilted-simplex quadratic form, result reader
+# tilted-simplex quadratic form, result reader, graph6 code
 
 
 def fixed_point_residual(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
@@ -671,3 +675,14 @@ def parse_result(text: str) -> SolveResult:
         return SolveResult(**{**obj, "starts": tuple(StartRecord(**s) for s in obj["starts"])})
     except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
         raise FormatError(f"malformed result JSON: {exc!r}") from exc
+
+
+def graph6_code(adj: np.ndarray) -> int:
+    """The graph6 payload bits before padding as one integer, first pair most significant."""
+    i, j = graph6_pairs(len(adj))
+    return int(b"0" + np.where(np.asarray(adj)[i, j], b"1", b"0").tobytes(), 2)
+
+
+def canonical_code(adj) -> int:
+    """The package's canonical form of one graph: enumeration.canonical_form on a one-code batch."""
+    return int(enumeration.canonical_form(len(adj), np.array([graph6_code(adj)]))[0])

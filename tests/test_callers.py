@@ -16,14 +16,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "graphnorm").glob("*.py"))
 PROGRAM = PACKAGE + sorted((ROOT / "scripts").glob("*.py"))
 
-# the names allowed to stay unreached, each with the reason
-UNREACHED = {
-    "enumeration.canonical_form": (
-        "perfbench/spans.py wraps it for the enumeration.canonical_form_* metrics; "
-        "it goes once that wrap points at _canonical_codes"
-    ),
-}
-
 
 def _definitions():
     """(module, name) of every top-level function and class, and of every public method."""
@@ -57,4 +49,4 @@ def test_every_package_function_has_a_program_caller():
     unreached = sorted(
         f"{module}.{name}" for module, name in _definitions() if name.rpartition(".")[2] not in reached
     )
-    assert unreached == sorted(UNREACHED), "only tests call these; move them to tests/reference.py"
+    assert unreached == [], "only tests call these; move them to tests/reference.py"

