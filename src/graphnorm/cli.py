@@ -186,9 +186,15 @@ def cmd_bench(args) -> int:
     out_dir = Path(args.results_dir) if args.results_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
+    claimed: dict[str, Path] = {}  # the first file of each name
     for path in instances:
         name = path.stem
         try:  # a bad instance costs its own row and result file, not the sweep
+            first = claimed.setdefault(name, path)
+            if first != path:
+                raise ValueError(
+                    f"{path.name} has the name of {first.name}, which keys its reference row and result file"
+                )
             result, traces, text = _solve_file(path, config, refs)
             egap = None
             if result.gap_percent is not None:

@@ -138,12 +138,26 @@ def _energy(g: WeightedGraph, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamm
     return float(0.5 * (y @ y + gamma * (y @ ay)) - g.w @ x)
 
 
-def _step(g: WeightedGraph, y: np.ndarray, ay: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
-    """One step from a state's products: y/d where d > 0, FALLBACK_VALUE elsewhere; returns (state, fallbacks)."""
-    d = y + gamma * ay
+def _step(
+    g: WeightedGraph, y: np.ndarray, ay: np.ndarray, gamma: float, out: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, int]:
+    """One step from a state's products: y/d where d > 0, FALLBACK_VALUE elsewhere; returns (state, fallbacks).
+
+    The state goes into out, a new array by default; d = y + gamma*ay is
+    written over ay.
+    """
+    d = np.multiply(ay, gamma, out=ay)
+    d += y
     ok = d > 0.0
-    out = np.divide(y, d, out=np.full(g.n, FALLBACK_VALUE), where=ok)
-    return out, int(g.n - np.count_nonzero(ok))
+    fallbacks = int(g.n - np.count_nonzero(ok))
+    if out is None:
+        out = np.empty(g.n)
+    if fallbacks:
+        out.fill(FALLBACK_VALUE)
+        np.divide(y, d, out=out, where=ok)
+    else:  # the same quotients, without the mask's cost
+        np.divide(y, d, out=out)
+    return out, fallbacks
 
 
 def gn_step(g: WeightedGraph, x: np.ndarray, gamma: float) -> np.ndarray:
@@ -183,29 +197,40 @@ def run_wrgn(
     the final state lies in [0, 1].  The trace carries the energy/mass
     series only when record_trace is set; step norms and fallback counts
     are always kept.
+
+    An untraced run steps in the graph's kernel order (WeightedGraph.kernel):
+    it permutes the start once, and every elementwise operation and each
+    row's sum is the same as in vertex order, so the states are too.  A
+    traced run steps in vertex order, because its energies and masses are
+    dot products, whose sums depend on the order of their terms.
     """
-    x = _checked_state(g, x0, "start")  # never written: each step makes a new array
+    x = _checked_state(g, x0, "start")
     if np.any(x < 0.0):
         raise NormalizationError("state entries must be nonnegative")
     if not is_normalizable(g, x):
         raise NormalizationError("initial state has a zero closed neighborhood sum")
 
+    order, kernel = (np.arange(g.n), g.adjacency()) if record_trace else g.kernel()
+    v, x = g.v[order], x[order]  # a copy: the start is never written
+    x_new, y = np.empty(g.n), np.empty(g.n)
     trace = SolveTrace()
     final_gamma = schedule.final_gamma
     for k in range(schedule.iterations):
         gamma = schedule.gamma_at(k)
-        y, ay = _products(g, x)
+        np.multiply(v, x, out=y)
+        ay = kernel @ y
         if record_trace:
             if k:
                 # this state is the previous step's post-step state
                 trace.energy.append(_energy(g, x, y, ay, trace.gamma[-1]))
             trace.pre_energy.append(_energy(g, x, y, ay, gamma))
-        x_new, nfb = _step(g, y, ay, gamma)
-        step_inf = float(np.max(np.abs(x_new - x), initial=0.0))
+        _, nfb = _step(g, y, ay, gamma, x_new)
+        delta = np.abs(np.subtract(x_new, x, out=y), out=y)  # y is spent
+        step_inf = float(delta.max(initial=0.0))
         trace.gamma.append(gamma)
         trace.step_inf.append(step_inf)
         trace.fallbacks.append(nfb)
-        x = x_new
+        x, x_new = x_new, x
         if not math.isfinite(step_inf):  # x was finite, so x_new is not
             raise NormalizationError(f"non-finite state at iteration {k}")
         if record_trace:
@@ -214,7 +239,9 @@ def run_wrgn(
             break
     if record_trace:
         trace.energy.append(energy(g, x, trace.gamma[-1]))
-    return x, trace
+    final = np.empty(g.n)
+    final[order] = x
+    return final, trace
 
 
 def init_random(n: int, seed) -> np.ndarray:
@@ -261,7 +288,7 @@ def weighted_mass(g: WeightedGraph, x: np.ndarray) -> float:
 
 def simplex_state(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
     """Mass-normalized coordinates p_i = w_i x_i / sum_j w_j x_j."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _checked_state(g, x)
     m = g.w @ x
     if not m > 0.0:
         raise ValueError("weighted mass must be positive")
@@ -278,7 +305,7 @@ def fitness(
     denominator is not positive, outside the map's domain.
     """
     gamma = _checked_gamma(gamma)
-    p = np.asarray(p, dtype=np.float64)
+    p = _checked_state(g, p, "simplex state")
     q = p / g.v
     d = q + gamma * (g.adjacency() @ q)
     if np.any(d <= 0.0):
@@ -300,7 +327,7 @@ def round_to_mis(g: WeightedGraph, x: np.ndarray) -> MisSolution:
     completion (greedy_complete) visits the vertices no selected vertex
     dominates after repair.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _checked_state(g, x)
     selected = x >= 0.5
     w = g.w
     for u in np.flatnonzero(selected & (g.adjacency() @ selected > 0)).tolist():

@@ -8,7 +8,9 @@ those same arrays, read-only, not copies.  The square roots of the weights
 are cached because the dynamics use them on every step.  scipy is imported
 by the first graph built, so code that builds none (the atomic census)
 never loads it.  The graph is read through that store (neighbour lists,
-degrees, the adjacency matrix); it keeps no edge-list view.
+degrees, the adjacency matrix); it keeps no edge-list view.  Beside it
+sits one more index over the same values: the kernel, the adjacency with
+its rows grouped by degree, which the dynamics step in.
 """
 
 from __future__ import annotations
@@ -40,20 +42,27 @@ class WeightedGraph:
     and safe for unrestricted concurrent reads.
     """
 
-    __slots__ = ("n", "indptr", "indices", "w", "v", "_adj")
+    __slots__ = ("n", "indptr", "indices", "w", "v", "_adj", "_order", "_kernel")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, w: np.ndarray):
         import scipy.sparse as sp
 
         self.n = int(n)
+        shape = (self.n, self.n)
+        # the kernel's index first, so that its transients come before the values
+        self._order, kernel_ptr, kernel_indices = _degree_ordered(indptr, indices)
         data = np.ones(len(indices), dtype=np.float64)
-        self._adj = sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+        self._adj = sp.csr_matrix((data, indices, indptr), shape=shape)
+        self._kernel = sp.csr_matrix((data, kernel_indices, kernel_ptr), shape=shape)
         self.indptr = self._adj.indptr
         self.indices = self._adj.indices
         self.w = w
         self.v = np.sqrt(w)
-        for a in (self._adj.data, self.indptr, self.indices, self.w, self.v):
+        for a in (self.w, self.v, self._order):
             a.setflags(write=False)
+        for m in (self._adj, self._kernel):
+            for a in (m.data, m.indptr, m.indices):
+                a.setflags(write=False)
 
     @property
     def num_edges(self) -> int:
@@ -69,8 +78,43 @@ class WeightedGraph:
         """Sparse 0/1 adjacency matrix (shared, read-only)."""
         return self._adj
 
+    def kernel(self) -> tuple[np.ndarray, sp.csr_matrix]:
+        """(order, K): the vertices grouped by degree, and the adjacency renumbered into that order.
+
+        K[a, b] = A[order[a], order[b]], and K's row a holds row order[a] of
+        A's entries in A's own order, so (K @ y[order])[a] adds the same
+        terms in the same order as (A @ y)[order[a]]: the two agree bit for
+        bit.  Rows of equal length run back to back in K, which makes its
+        product faster than A's.  Shared and read-only, like the adjacency.
+        """
+        return self._order, self._kernel
+
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.num_edges})"
+
+
+def _degree_ordered(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(order, indptr, indices) of the CSR lists renumbered into degree order.
+
+    order is the vertex order a stable sort by degree gives; the arrays
+    have the lists' dtype.
+    """
+    degrees = np.diff(indptr)
+    # a stable sort of 16-bit keys is a radix sort: 0.7 ms at n = 10^5, against 5 ms
+    key = degrees.astype(np.uint16) if degrees.max(initial=0) < 1 << 16 else degrees
+    order = np.argsort(key, kind="stable").astype(indptr.dtype)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size, dtype=order.dtype)
+    kernel_degrees = degrees[order]
+    kernel_ptr = np.zeros_like(indptr)
+    np.cumsum(kernel_degrees, out=kernel_ptr[1:])
+    # entry k of the kernel is entry k + indptr[order[a]] - kernel_ptr[a] of
+    # the lists, where a is its row; fancy indexing, as np.take copies int32 indices
+    at = np.repeat(indptr[order] - kernel_ptr[:-1], kernel_degrees)
+    at += np.arange(at.size, dtype=at.dtype)
+    columns = indices[at]
+    del at
+    return order, kernel_ptr, rank[columns]
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -102,10 +146,10 @@ def build_graph(
     are missing, non-positive, or non-finite, or a weight total that is not
     finite; an edge error names the first bad edge in input order.
 
-    Beside the edges and the graph, the build holds about two copies of a
-    (k, 2) int64 edge array: the 2k packed keys and their deduplicated
-    copy.  From 5n random pairs its tracemalloc peak is 2.25 times the
-    edge array's bytes, the graph included.
+    Beside the graph, the build holds about two copies of a (k, 2) int64
+    edge array: the 2k packed keys and their deduplicated copy.  It drops
+    its own references to the edges once the keys are written, so an edge
+    array that no caller still holds is freed before the sort.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
@@ -143,6 +187,8 @@ def build_graph(
     keys[:k] += v
     np.multiply(v, n, out=keys[k:])
     keys[k:] += u
+    # an edge array the caller passed as a temporary dies here, before the sort
+    del edges, e, u, v
     keys = _sorted_unique(keys)
     idx_dtype = np.int32 if max(n, keys.size) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n + 1, dtype=idx_dtype)

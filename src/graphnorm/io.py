@@ -81,15 +81,17 @@ def parse_instance(text: str) -> WeightedGraph:
     instance = _read_bytes(text)
     if instance is None:
         instance = _read_lines(text.splitlines())
-    n, edges, w = instance
+    n, w = instance[0], instance[2]
     try:
-        return build_graph(n, edges, w)
+        # popped, the (m, 2) edge array is held by the call alone, so
+        # build_graph frees it before it sorts the packed keys
+        return build_graph(n, instance.pop(1), w)
     except GraphError as exc:
         raise FormatError(str(exc)) from exc
 
 
 def _read_bytes(text: str):
-    """(n, 0-based edges, weights by vertex) of text in the byte reader's grammar, else None.
+    """[n, 0-based edges, weights by vertex] of text in the byte reader's grammar, else None.
 
     Reads the lines up to the problem line one at a time, then the body in
     chunks of about CHUNK_BYTES, each written into arrays sized from the
@@ -138,7 +140,7 @@ def _read_bytes(text: str):
     order = np.argsort(ids)
     if not np.array_equal(ids[order], np.arange(1, n + 1)):
         return None
-    return n, edges, values[order]
+    return [n, edges, values[order]]
 
 
 def _read_chunk(chunk: bytes):
@@ -152,7 +154,11 @@ def _read_chunk(chunk: bytes):
     b = np.frombuffer(chunk, dtype=np.uint8)
     solid = np.concatenate(([False], b > 32, [False]))
     starts, ends = np.flatnonzero(solid[1:] != solid[:-1]).reshape(-1, 2).T
-    heads = np.searchsorted(starts, np.concatenate(([0], np.flatnonzero(b == 10) + 1)))
+    lines = np.flatnonzero(np.concatenate(([True], b[:-1] == 10)))  # where each line starts
+    heads = np.arange(0, starts.size, 3)  # each line's first token, if every line holds three
+    if heads.size != lines.size or not np.array_equal(starts[heads], lines):
+        # comments, blank lines or leading blanks: find each line's first token
+        heads = np.searchsorted(starts, lines)
     counts = np.diff(heads, append=starts.size)  # tokens on each line
     heads, counts = heads[counts > 0], counts[counts > 0]
     comment = b[starts[heads]] == ord("c")
@@ -164,7 +170,9 @@ def _read_chunk(chunk: bytes):
     first, second = (_integers(b, starts[at], ends[at]) for at in (heads + 1, heads[is_e] + 2))
     weight = heads[~is_e] + 2
     try:
-        words = map(chunk.__getitem__, map(slice, starts[weight].tolist(), ends[weight].tolist()))
+        # over _PLAIN, split() cuts the tokens the b > 32 mask finds; a chunk of
+        # edge lines alone skips it
+        words = map(chunk.split().__getitem__, weight.tolist()) if weight.size else ()
         values = np.fromiter(map(float, words), dtype=np.float64, count=weight.size)
     except ValueError:
         return None
@@ -187,7 +195,7 @@ def _integers(b: np.ndarray, starts: np.ndarray, ends: np.ndarray):
 
 
 def _read_lines(lines: list[str]):
-    """(n, 0-based edges, weights by vertex) of lines read one at a time.
+    """[n, 0-based edges, weights by vertex] of lines read one at a time.
 
     This reader defines every error message.  It raises, in order: the
     first bad line, a missing problem line, a wrong edge count, and the
@@ -247,7 +255,7 @@ def _read_lines(lines: list[str]):
     first = next(vid for vid in itertools.count(1) if vid not in weights)
     if first <= n:
         raise FormatError(f"missing weight for vertex {first}")
-    return n, np.array(ends, dtype=np.int64).reshape(-1, 2) - 1, [weights[vid] for vid in range(1, n + 1)]
+    return [n, np.array(ends, dtype=np.int64).reshape(-1, 2) - 1, [weights[vid] for vid in range(1, n + 1)]]
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,24 @@ def test_state_functions_reject_non_finite_states(p3_uniform):
             call()
 
 
+# simplex_state once returned a (6, 6) array for a (6, 1) state, fitness a
+# NaN average for a NaN state, and round_to_mis a set flagged valid and
+# maximal for an all-NaN state
+@pytest.mark.parametrize(
+    "call",
+    [simplex_state, lambda g, x: fitness(g, x, 1.0), round_to_mis],
+    ids=["simplex_state", "fitness", "round_to_mis"],
+)
+@pytest.mark.parametrize(
+    "x,message",
+    WRONG_SHAPES + [(np.full(6, math.nan), "state entries must be finite")],
+    ids=["column", "short", "nan"],
+)
+def test_simplex_fitness_and_rounding_reject_bad_states(call, x, message):
+    with pytest.raises(NormalizationError, match=message):
+        call(erdos_renyi(6, 0.4, 1), x)
+
+
 def test_run_wrgn_tiny_weights_follow_the_map(p3_weighted):
     # weights (1, 3, 1) x 1e-20 put every closed-neighbourhood sum near
     # 1e-10 from the first step on; the map sees only weight ratios
@@ -344,19 +362,26 @@ def test_run_wrgn_trace_monotone_at_constant_gamma():
 
 
 class CountingGraph(WeightedGraph):
-    """A graph whose adjacency counts the products taken with it."""
+    """A graph whose adjacency and kernel count the products taken with them."""
 
     __slots__ = ("products",)
 
-    def adjacency(self):
+    def _counted(self, matrix):
         graph = self
 
         class Counted:
             def __matmul__(self, other):
                 graph.products += 1
-                return WeightedGraph.adjacency(graph) @ other
+                return matrix @ other
 
         return Counted()
+
+    def adjacency(self):
+        return self._counted(WeightedGraph.adjacency(self))
+
+    def kernel(self):
+        order, matrix = WeightedGraph.kernel(self)
+        return order, self._counted(matrix)
 
 
 @pytest.mark.parametrize(

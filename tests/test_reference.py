@@ -180,6 +180,43 @@ def test_run_wrgn_matches_reference_on_mid_run_overflow(record_trace):
     assert got == "non-finite state at iteration 0"
 
 
+def _star_and_path():
+    # a path 0..39, and the centre 40 of a star with leaves 41..59 joined to 0
+    path = [(i, i + 1) for i in range(39)]
+    star = [(40, j) for j in range(41, 60)] + [(40, 0)]
+    return build_graph(60, path + star, np.linspace(0.5, 3.0, 60))
+
+
+def _sparse_with_duplicates():
+    rng = np.random.default_rng(2000)
+    pairs = rng.integers(0, 2000, size=(10_000, 2))
+    return build_graph(2000, pairs[pairs[:, 0] != pairs[:, 1]], rng.uniform(0.1, 10.0, 2000))
+
+
+def _cycle():
+    return build_graph(50, [(i, (i + 1) % 50) for i in range(50)], np.linspace(1.0, 2.0, 50))
+
+
+@pytest.mark.parametrize(
+    "make, identity",
+    [(_star_and_path, False), (_sparse_with_duplicates, False), (_cycle, True)],
+    ids=["star-and-path", "sparse-2000", "cycle"],
+)
+@pytest.mark.parametrize("record_trace", [False, True])
+@pytest.mark.parametrize("early_exit", [False, True])
+def test_run_wrgn_matches_reference_in_degree_order(make, identity, record_trace, early_exit):
+    # an untraced run steps in the kernel's degree order: far from vertex
+    # order on the first two graphs, and vertex order itself on the regular one
+    g = make()
+    order, _ = g.kernel()
+    assert np.array_equal(order, np.arange(g.n)) == identity
+    schedule = GammaSchedule.constant(1.5, 20_000) if early_exit else GammaSchedule.pursuit(iterations=200)
+    args = (g, init_random(g.n, 3), schedule, record_trace, early_exit)
+    got = _trajectory(run_wrgn, *args)
+    assert len(got[1]) < schedule.iterations if early_exit else len(got[1]) == schedule.iterations
+    assert got == _trajectory(reference.run_wrgn, *args)
+
+
 @pytest.mark.parametrize(
     "x0,want",
     [
@@ -338,6 +375,38 @@ def test_parse_instance_byte_reader_skips_comments_anywhere():
     text = "c a \u00e9\n\np mwis 2 1\nn 1 1\n  c n\u00f6te \udc80\nn 2 1\ncx y\r\ne 1 2\nc end \u2603"
     assert graphnorm.io._read_bytes(text) is not None
     assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, text)
+
+
+@pytest.mark.parametrize(
+    "odd, counted_chunks",
+    [
+        ("c two words\n{}", "none"),
+        ("c note\n{}", "some"),
+        ("\n{}", "some"),
+        ("   \n{}", "some"),
+        ("  {}", "some"),
+        ("\t{}", "some"),
+    ],
+    ids=["comment-3-tokens", "comment", "blank", "spaces", "leading-spaces", "leading-tab"],
+)
+def test_parse_instance_reads_both_chunk_layouts(odd, counted_chunks):
+    # the first 40 body lines clean, then every fifth line made odd: at 64-byte
+    # chunks the clean chunks take the three-tokens-a-line layout and the others
+    # count each line's tokens; a three-token comment fits the first layout
+    head, *body = reference.write_instance(erdos_renyi(40, 0.3, 5)).splitlines()
+    body[40:] = [odd.format(line) if k % 5 == 0 else line for k, line in enumerate(body[40:])]
+    text = "\n".join([head] + body) + "\n"
+    with (
+        mock.patch.object(graphnorm.io, "CHUNK_BYTES", 64),
+        mock.patch.object(graphnorm.io, "_read_chunk", wraps=graphnorm.io._read_chunk) as chunks,
+        mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as counted,
+    ):
+        assert graphnorm.io._read_bytes(text) is not None
+        assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, text)
+    if counted_chunks == "none":
+        assert counted.call_count == 0
+    else:
+        assert 0 < counted.call_count < chunks.call_count
 
 
 def test_parse_instance_huge_vertex_count_is_quick():

@@ -572,6 +572,23 @@ def test_cli_bench_sweeps_dimacs_files_after_mwis_files(tmp_path, capsys):
     assert reference.parse_result((results / "a.json").read_text()).best_objective == 4.0
 
 
+def test_cli_bench_repeated_name_is_an_error_row(tmp_path, capsys):
+    # a.dimacs once overwrote a.json from a.mwis, and took its reference row
+    (tmp_path / "a.mwis").write_text(K2_TEXT)
+    (tmp_path / "a.dimacs").write_text("p mwis 1 0\nn 1 7\n")
+    refs = tmp_path / "refs.csv"
+    refs.write_text("a,4\n")
+    results = tmp_path / "results"
+    argv = ["bench", str(tmp_path), "--reference", str(refs), "--starts", "1", "--iterations", "120"]
+    assert main(argv + ["--results-dir", str(results)]) == 2
+    rows = capsys.readouterr().out.splitlines()[1:]
+    message = "a.dimacs has the name of a.mwis, which keys its reference row and result file"
+    assert rows[1] == f"{'a':>20}  error: {message}"
+    assert rows[0].split()[0] == "a" and "0.00%" in rows[0]
+    assert sorted(p.name for p in results.iterdir()) == ["a.json"]
+    assert reference.parse_result((results / "a.json").read_text()).best_objective == 4.0
+
+
 def test_cli_bench_overflowing_gap_is_an_input_error_row(tmp_path, capsys):
     # best 1e300 against reference 1e-300 gives gap -inf: that instance gets
     # an error row and no result file, and the sweep goes on to the next
