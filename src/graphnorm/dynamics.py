@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import MisSolution, WeightedGraph, greedy_complete
+from .graph import MisSolution, WeightedGraph, greedy_complete, independence, member_mask
 
 # Value taken where a closed-neighbourhood sum is exactly 0, outside the
 # map's domain; from a normalizable start only underflow gets there.
@@ -358,11 +358,9 @@ def mis_stability(g: WeightedGraph, m: MisSolution, gamma: float) -> float:
     M covers every vertex (edgeless graphs), where the min runs over nothing.
     """
     gamma = _checked_gamma(gamma)
-    members = np.asarray(m.members, dtype=np.int64)
-    if not MisSolution.from_members(g, members).maximal:
+    mask = member_mask(g, m.members)
+    if not independence(g, mask)[1]:
         raise ValueError("solution is not a maximal independent set")
-    mask = np.zeros(g.n, dtype=bool)
-    mask[members] = True
     # one pass over the CSR entries (i, j) with i outside and j a member;
     # bincount adds each row's terms in neighbour order
     rows = np.repeat(np.arange(g.n), g.degrees())

@@ -8,9 +8,10 @@ those same arrays, read-only, not copies.  The square roots of the weights
 are cached because the dynamics use them on every step.  scipy is imported
 by the first graph built, so code that builds none (the atomic census)
 never loads it.  The graph is read through that store (neighbour lists,
-degrees, the adjacency matrix); it keeps no edge-list view.  Beside it
-sits one more index over the same values: the kernel, the adjacency with
-its rows grouped by degree, which the dynamics step in.
+degrees, the adjacency matrix).  Beside it sits one more index over the
+same values: the kernel, the adjacency with its rows grouped by degree,
+which the dynamics step in.  Edge endpoints and member indices pass one
+rule, integers within int64; member_mask makes members a checked mask.
 """
 
 from __future__ import annotations
@@ -142,9 +143,9 @@ def build_graph(
     edges is any sequence of (u, v) pairs or a (k, 2) integer array.
     Duplicate edges and both orientations of the same edge are merged.
     The weights are copied, so the graph shares no array with the caller.
-    Raises GraphError on self-loops, out-of-range indices, weights that
-    are missing, non-positive, or non-finite, or a weight total that is not
-    finite; an edge error names the first bad edge in input order.
+    Raises GraphError on non-integer endpoints, self-loops, out-of-range
+    indices, weights missing, non-positive or non-finite, or a weight total
+    that is not finite; a loop or range error names the first bad edge.
 
     Beside the graph, the build holds about two copies of a (k, 2) int64
     edge array: the 2k packed keys and their deduplicated copy.  It drops
@@ -164,7 +165,7 @@ def build_graph(
     if not np.isfinite(total):
         raise GraphError("total weight overflows float64, so objectives would not be finite")
 
-    e = np.asarray(edges, dtype=np.int64)
+    e = _int64_indices(edges)
     if e.size == 0:
         e = e.reshape(0, 2)
     if e.ndim != 2 or e.shape[1] != 2:
@@ -199,27 +200,30 @@ def build_graph(
     return WeightedGraph(n, indptr, cols, w)
 
 
-def _check_members(g: WeightedGraph, members: Iterable[int] | np.ndarray) -> np.ndarray:
-    """Sorted distinct member indices, range-checked against the graph."""
-    if isinstance(members, np.ndarray) and members.ndim == 1 and members.dtype.kind in "biu":
-        idx = members.astype(np.int64)  # a copy, which _sorted_unique may sort
-    else:
-        idx = np.fromiter(map(int, members), dtype=np.int64)
+def _int64_indices(a) -> np.ndarray:
+    """Vertex indices as int64, copying no int64 array; GraphError unless all are non-bool ints within int64."""
+    a = np.asarray(a if isinstance(a, np.ndarray) else list(a))
+    if a.size and not (a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64)):
+        raise GraphError(f"vertex indices must be integers within int64, got {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
+def member_mask(g: WeightedGraph, members: Iterable[int] | np.ndarray) -> np.ndarray:
+    """Boolean mask of integer vertex indices; repeats collapse, an index outside [0,n) raises GraphError."""
+    idx = _int64_indices(members)
     if idx.size and (idx.min() < 0 or idx.max() >= g.n):
         raise GraphError(f"vertex index outside [0,{g.n})")
-    return _sorted_unique(idx)
+    return np.bincount(idx, minlength=g.n) > 0
 
 
-def _independence(g: WeightedGraph, idx: np.ndarray) -> tuple[bool, bool]:
-    """(independent, maximal) for checked member indices, from one mat-vec.
+def independence(g: WeightedGraph, mask: np.ndarray) -> tuple[bool, bool]:
+    """(independent, maximal) for a member mask, from one mat-vec.
 
     A member with a member neighbour breaks independence; a non-member
     with none is undominated and breaks maximality.
     """
-    mask = np.zeros(g.n, dtype=bool)
-    mask[idx] = True
     dominated = (g.adjacency() @ mask) > 0
-    independent = not np.any(dominated[idx])
+    independent = not np.any(dominated[mask])
     return independent, independent and bool(np.all(mask | dominated))
 
 
@@ -251,11 +255,11 @@ class MisSolution:
 
     @classmethod
     def from_members(cls, g: WeightedGraph, members: Iterable[int]) -> "MisSolution":
-        idx = _check_members(g, members)
-        independent, maximal = _independence(g, idx)
+        mask = member_mask(g, members)
+        independent, maximal = independence(g, mask)
         return cls(
-            members=tuple(idx.tolist()),
-            weight=float(g.w[idx].sum()),
+            members=tuple(np.flatnonzero(mask).tolist()),
+            weight=float(g.w[mask].sum()),
             independent=independent,
             maximal=maximal,
         )

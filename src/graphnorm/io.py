@@ -420,7 +420,7 @@ def write_result(result: SolveResult) -> str:
 
 
 def read_reference_csv(text: str) -> dict[str, float]:
-    """Two-column CSV (instance name, best-known objective) -> lookup table."""
+    """Two-column CSV (instance name, best-known objective) -> lookup table; a name may appear once."""
     table: dict[str, float] = {}
     for row in csv.reader(StringIO(text)):
         if not row or not "".join(row).strip():
@@ -436,5 +436,7 @@ def read_reference_csv(text: str) -> dict[str, float]:
             raise FormatError(f"cannot parse reference objective in {row!r}")
         if not math.isfinite(value):
             raise FormatError(f"reference objective must be finite in {row!r}")
+        if name in table:
+            raise FormatError(f"reference instance {name!r} appears more than once")
         table[name] = value
     return table

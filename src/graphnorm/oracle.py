@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import mis_stability
-from .graph import MisSolution, WeightedGraph, greedy_complete
+from .graph import MisSolution, WeightedGraph, greedy_complete, member_mask
 
 DESCENT_TOL = 1e-12
 Q_MATCH_TOL = 1e-12
@@ -127,10 +127,9 @@ def enumerate_mises(g: WeightedGraph) -> list[MisSolution]:
 
 def mis_simplex_point(g: WeightedGraph, members: Sequence[int]) -> np.ndarray:
     """Tilted-simplex point carried by an independent set: sqrt(w_i)/W on M."""
-    idx = np.asarray(members, dtype=np.int64)
-    W = float(g.w[idx].sum())
+    mask = member_mask(g, members)
     r = np.zeros(g.n, dtype=np.float64)
-    r[idx] = g.v[idx] / W
+    r[mask] = g.v[mask] / g.w[mask].sum()
     return r
 
 

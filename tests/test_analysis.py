@@ -7,6 +7,7 @@ import pytest
 
 from graphnorm import (
     GammaSchedule,
+    GraphError,
     MisSolution,
     build_graph,
     erdos_renyi,
@@ -165,6 +166,20 @@ def test_atom_rejects_disconnected():
         atom_spectrum(a)
 
 
+@pytest.mark.parametrize(
+    "adj, message",
+    [
+        (np.zeros((2, 3), dtype=int), "adjacency must be square"),
+        (np.zeros((0, 0), dtype=int), "graph must have at least one vertex"),
+        (np.array([[0, 1], [0, 0]]), "adjacency must be symmetric with zero diagonal"),
+    ],
+    ids=["non-square", "empty", "asymmetric"],
+)
+def test_atom_rejects_malformed_adjacency(adj, message):
+    with pytest.raises(ValueError, match=message):
+        atom_spectrum(adj)
+
+
 def test_atom_rejects_entries_other_than_0_or_1():
     # the domination shortcut reads closed neighbourhoods, so a multigraph
     # weight of 2 is an input error, not an edge
@@ -277,6 +292,14 @@ def test_q_at_mis_point_is_inverse_weight(p3_weighted):
         r = mis_simplex_point(p3_weighted, members)
         w = sum(p3_weighted.w[i] for i in members)
         assert tilted_simplex_q(p3_weighted, r, 1.5) == pytest.approx(1.0 / w, abs=1e-12)
+
+
+def test_mis_simplex_point_reads_a_member_set(p3_weighted):
+    # -1 wrapped to the last vertex, and a repeated member counted twice in W
+    with pytest.raises(GraphError, match=r"vertex index outside \[0,3\)"):
+        mis_simplex_point(p3_weighted, [-1])
+    np.testing.assert_array_equal(mis_simplex_point(p3_weighted, [0, 0]), mis_simplex_point(p3_weighted, [0]))
+    assert mis_simplex_point(p3_weighted, [0, 0])[0] == 1.0
 
 
 def test_q_single_vertex():

@@ -412,6 +412,11 @@ def test_init_random_singleton():
     np.testing.assert_array_equal(init_random(1, 123), [1.0])
 
 
+def test_init_random_needs_a_vertex():
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        init_random(0, 7)
+
+
 def test_init_random_deterministic():
     np.testing.assert_array_equal(init_random(5, 7), init_random(5, 7))
 
@@ -430,6 +435,8 @@ def test_init_warm_examples():
         init_warm([0.5, float("inf")])
     with pytest.raises(ValueError):
         init_warm([0.5], n=2)
+    with pytest.raises(ValueError, match="warm start must be a 1-d vector"):
+        init_warm([[0.5, 0.5]])
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,9 @@ def test_out_of_range_edge_rejected():
 def test_edges_must_be_pairs():
     with pytest.raises(GraphError, match=r"edges must be \(u, v\) pairs, got an array of shape \(2, 3\)"):
         build_graph(3, np.zeros((2, 3), dtype=np.int64), [1, 1, 1])
+    # float endpoints were truncated, into the edges 0-1 and 1-2
+    with pytest.raises(GraphError, match="vertex indices must be integers within int64, got float64"):
+        build_graph(3, [(0.7, 1.2), (1.9, 2.5)], [1, 1, 1])
 
 
 def test_duplicate_edges_merged():
@@ -91,6 +94,11 @@ def test_predicate_index_errors():
         MisSolution.from_members(p3, [3]).independent
     with pytest.raises(GraphError):
         MisSolution.from_members(p3, [-1]).weight
+    # a mask read as the ids {0, 1}, a float and a string were truncated to
+    # 1, and an id beyond int64 raised OverflowError
+    for members in (np.array([True, False, True]), [True], [1.7], ["1"], [99999999999999999999999]):
+        with pytest.raises(GraphError, match="vertex indices must be integers within int64"):
+            MisSolution.from_members(p3, members)
 
 
 def test_mis_solution_from_members():

@@ -43,6 +43,13 @@ def test_unknown_line_type():
         parse_instance("p mwis 1 0\nn 1 1\nq zzz\n")
 
 
+def test_body_line_before_problem_line():
+    with pytest.raises(FormatError, match="^line 1: edge line before problem line$"):
+        parse_instance("e 1 2\n" + K2_TEXT)
+    with pytest.raises(FormatError, match="^line 2: weight line before problem line$"):
+        parse_instance("c weights first\nn 1 4\n" + K2_TEXT)
+
+
 def test_edge_count_mismatch():
     with pytest.raises(FormatError, match="declares"):
         parse_instance("p mwis 2 2\nn 1 1\nn 2 1\ne 1 2\n")
@@ -303,6 +310,9 @@ def test_reference_csv():
     assert read_reference_csv("k2,4\n\n , \nbig,5\n") == {"k2": 4.0, "big": 5.0}  # blank rows skipped
     with pytest.raises(FormatError, match="reference row needs two columns"):
         read_reference_csv("k2,4\nsolo\n")
+    # the last row once won, so a gap was measured against whichever came last
+    with pytest.raises(FormatError, match="reference instance 'a' appears more than once"):
+        read_reference_csv("a,1\nb,2\na,3\n")
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])

@@ -38,6 +38,13 @@ def test_brute_force_rejects_large():
         brute_force_mwis(g)
 
 
+def test_enumeration_and_correspondence_reject_large():
+    with pytest.raises(ValueError, match="enumeration supports n <= 24, got 25"):
+        enumerate_mises(build_graph(25, [], [1.0] * 25))
+    with pytest.raises(ValueError, match="correspondence check supports n <= 16"):
+        correspondence_check(build_graph(17, [], [1.0] * 17), 1.5, 0)
+
+
 def test_brute_force_matches_subset_scan():
     # oracle-of-the-oracle on a deterministic random corpus
     rng = np.random.default_rng(5)

@@ -320,6 +320,16 @@ def test_cli_verify(k2_file, tmp_path, capsys):
     assert "independent: false" in out
 
 
+def test_cli_verify_id_beyond_int64_is_an_input_error(k2_file, tmp_path, capsys):
+    # such an id raised OverflowError: a traceback and exit 1
+    sol = tmp_path / "sol.txt"
+    sol.write_text("0 99999999999999999999999\n")
+    assert main(["verify", str(k2_file), str(sol)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+
+
 def test_cli_verify_not_maximal(tmp_path, capsys):
     inst = tmp_path / "p3.mwis"
     inst.write_text("p mwis 3 2\nn 1 1\nn 2 3\nn 3 1\ne 1 2\ne 2 3\n")
@@ -361,6 +371,15 @@ def test_cli_atoms_builtin(capsys):
     assert main(["atoms", "--n", "5"]) == 0
     out = capsys.readouterr().out
     assert "21" in out and "4" in out
+
+
+@pytest.mark.parametrize("n", [5, 1])
+def test_cli_atoms_cumulative(n, capsys):
+    assert main(["atoms", "--n", str(n), "--cumulative"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[0], r[1], r[6]) for r in rows] == [
+        ("1", "1", "1"), ("2", "1", "1"), ("3", "2", "1"), ("4", "6", "2"), ("5", "21", "4")
+    ][:n]
 
 
 def test_cli_atoms_never_imports_scipy():
