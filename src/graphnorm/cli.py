@@ -42,10 +42,12 @@ def _emit(text: str, output: Optional[str]) -> None:
         Path(output).write_text(text)
 
 
+def _read_text(path) -> str:
+    return Path(path).read_text(encoding="utf-8-sig")  # UTF-8; a leading byte-order mark is dropped
+
+
 def _load_instance(path: str) -> tuple[str, WeightedGraph]:
-    p = Path(path)
-    g = parse_instance(p.read_text())
-    return p.stem, g
+    return Path(path).stem, parse_instance(_read_text(path))
 
 
 def _solve_file(path, config: RunConfig, refs: dict, warm_files=()) -> tuple[SolveResult, dict, str]:
@@ -55,7 +57,7 @@ def _solve_file(path, config: RunConfig, refs: dict, warm_files=()) -> tuple[Sol
     and NormalizationError are ValueErrors).
     """
     name, g = _load_instance(path)
-    warm = [parse_warm_start(Path(w).read_text(), g.n) for w in warm_files]
+    warm = [parse_warm_start(_read_text(w), g.n) for w in warm_files]
     result, traces = solve_instance(g, name, config, warm, refs.get(name))
     return result, traces, write_result(result)
 
@@ -92,7 +94,7 @@ def cmd_solve(args) -> int:
         raise ValueError("--trace writes FILE.trace.json next to the result; give --output FILE")
     if args.warm_start and (args.starts is not None or args.seed is not None):
         raise ValueError("--warm-start runs one trajectory per file; it takes no --starts or --seed")
-    refs = read_reference_csv(Path(args.reference).read_text()) if args.reference else {}
+    refs = read_reference_csv(_read_text(args.reference)) if args.reference else {}
     config = _config_from_args(args, args.trace)
     result, traces, text = _solve_file(args.instance, config, refs, args.warm_start)
     if args.trace:  # both texts render before either file is written; the result goes first
@@ -114,7 +116,7 @@ def _parse_solution_file(text: str) -> list[int]:
 def cmd_verify(args) -> int:
     GammaSchedule.constant(args.gamma, 1)  # a bad gamma is an input error for any set
     name, g = _load_instance(args.instance)
-    members = _parse_solution_file(Path(args.solution).read_text())
+    members = _parse_solution_file(_read_text(args.solution))
     sol = MisSolution.from_members(g, members)
     lines = [
         f"instance: {name}",
@@ -136,7 +138,7 @@ def cmd_atoms(args) -> int:
     if args.graph6:
         if args.cumulative:
             raise ValueError("--cumulative applies to --n only; a graph6 stream gives one row")
-        lines = Path(args.graph6).read_text().splitlines()
+        lines = _read_text(args.graph6).splitlines()
         row, skipped = census_from_stream(lines)
         text = format_census_table([row])
         if skipped:
@@ -171,7 +173,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    refs = read_reference_csv(Path(args.reference).read_text()) if args.reference else {}
+    refs = read_reference_csv(_read_text(args.reference)) if args.reference else {}
     config = _config_from_args(args)
     config.schedule()  # a bad config is an input error before the sweep, even over no instances
     directory = Path(args.directory)

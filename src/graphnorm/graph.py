@@ -11,7 +11,7 @@ never loads it.  The graph is read through that store (neighbour lists,
 degrees, the adjacency matrix).  Beside it sits one more index over the
 same values: the kernel, the adjacency with its rows grouped by degree,
 which the dynamics step in.  Edge endpoints and member indices pass one
-rule, integers within int64; member_mask makes members a checked mask.
+rule: integers, judged by value; member_mask makes members a checked mask.
 """
 
 from __future__ import annotations
@@ -201,11 +201,20 @@ def build_graph(
 
 
 def _int64_indices(a) -> np.ndarray:
-    """Vertex indices as int64, copying no int64 array; GraphError unless all are non-bool ints within int64."""
-    a = np.asarray(a if isinstance(a, np.ndarray) else list(a))
-    if a.size and not (a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64)):
-        raise GraphError(f"vertex indices must be integers within int64, got {a.dtype}")
-    return a.astype(np.int64, copy=False)
+    """Vertex indices by value; GraphError unless each is an integer, not a bool.
+
+    int64 if every index fits, copying no int64 array; else as read (uint64,
+    or Python ints), so that a range check compares and names the true values.
+    """
+    items = a if isinstance(a, np.ndarray) else list(a)
+    a = np.asarray(items)
+    if a.size and a.dtype.kind not in "iu":  # numpy reads ints beyond int64 as objects or floats
+        inferred, a = a.dtype, np.array(items, dtype=object)
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in a.flat):
+            raise GraphError(f"vertex indices must be integers, got {inferred}")
+    if np.can_cast(a.dtype, np.int64) or not a.size or -(1 << 63) <= a.min() and a.max() < 1 << 63:
+        return a.astype(np.int64, copy=False)
+    return a
 
 
 def member_mask(g: WeightedGraph, members: Iterable[int] | np.ndarray) -> np.ndarray:

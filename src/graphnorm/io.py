@@ -10,10 +10,10 @@ Three input formats are read here:
       e <u> <v>                  (one line per edge, ids 1-based)
 
   parse_instance reads text with printable-ASCII data lines and plain
-  ids (see its docstring) as byte arrays, in one pass; all other text,
-  valid or not, is read line by line, and an error names the first bad line
-  (a self-loop or a weight that is not positive and finite included), save
-  a weight total that overflows, which is an error of the whole file.
+  ids (see its docstring) as byte arrays, in one pass, checking only the
+  grammar, counts and ids; build_graph judges edges and weights.  Other
+  text, and byte-read text build_graph rejects, is read line by line, so an
+  error names the first bad line, save a weight total that overflows.
 
 * warm-start vectors: exactly n lines, one finite decimal per line.
 
@@ -72,21 +72,20 @@ def parse_instance(text: str) -> WeightedGraph:
     "e <u> <v>" in printable ASCII, tokens split by spaces and tabs, ids
     and counts of 1 to 18 ASCII digits, weights as float() reads them.
     Comments may hold any text without U+0085, U+2028, U+2029 or a
-    control character other than tab.
-    All other text, valid or not, goes to the line reader (_read_lines),
-    which defines the format and every error message and line number.
-    Every error names its line but one: a weight total that overflows
-    float64, which build_graph raises for the whole file.
+    control character other than tab.  It checks the grammar, the counts
+    and the ids; build_graph judges edges and weights.  All other text,
+    and byte-read text build_graph rejects, goes to the line reader
+    (_read_lines), which defines the format and names the first bad line
+    in every error but one: a weight total that overflows float64.
     """
-    instance = _read_bytes(text)
-    if instance is None:
-        instance = _read_lines(text.splitlines())
+    instance = _read_bytes(text) or _read_lines(text.splitlines())
     n, w = instance[0], instance[2]
     try:
         # popped, the (m, 2) edge array is held by the call alone, so
         # build_graph frees it before it sorts the packed keys
         return build_graph(n, instance.pop(1), w)
     except GraphError as exc:
+        _read_lines(text.splitlines())  # raises for the first bad line, if one is bad
         raise FormatError(str(exc)) from exc
 
 
@@ -96,10 +95,9 @@ def _read_bytes(text: str):
     Reads the lines up to the problem line one at a time, then the body in
     chunks of about CHUNK_BYTES, each written into arrays sized from the
     problem line.  The text is read only if every chunk reads, there are m
-    edge lines, none of them a self-loop, every weight is positive and
-    finite, and the weight-line ids, sorted once, are exactly 1..n; that
-    sort also places the weights.  Any other text, a bad line included,
-    goes to the line reader, which names the line.
+    edge lines, and the weight-line ids, sorted once, are exactly 1..n;
+    that sort also places the weights.  Edge ends and weights are left to
+    build_graph.  Any other text goes to the line reader.
     """
     if not text.isascii() and any(map(text.__contains__, "\x85\u2028\u2029")):
         return None  # line ends to str.splitlines that UTF-8 spells with bytes above 127
@@ -133,9 +131,7 @@ def _read_bytes(text: str):
             return None
         ids[at_n:next_n], values[at_n:next_n], edges[at_m:next_m] = chunk
         at_n, at_m, pos = next_n, next_m, end
-    if at_n != n or at_m != m or np.any((edges < 0) | (edges >= n)) or np.any(edges[:, 0] == edges[:, 1]):
-        return None
-    if not np.all((values > 0.0) & (values < math.inf)):
+    if at_n != n or at_m != m:
         return None
     order = np.argsort(ids)
     if not np.array_equal(ids[order], np.arange(1, n + 1)):

@@ -44,15 +44,13 @@ class RunConfig:
     trace: bool = False
 
     def schedule(self) -> GammaSchedule:
-        """The run's schedule; raises ValueError on a config no solve accepts.
-
-        GammaSchedule checks gamma > 0 and the iteration budget against the mode.
-        """
-        if not self.gamma1 >= self.gamma0:
+        """The run's schedule; ValueError on a config no solve accepts, each gamma checked first."""
+        schedule = GammaSchedule(self.gamma0, self.gamma1, self.iterations)
+        if schedule.gamma1 < schedule.gamma0:
             raise ValueError("need gamma1 >= gamma0")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
-        return GammaSchedule(self.gamma0, self.gamma1, self.iterations)
+        return schedule
 
 
 def _run_single(

@@ -56,8 +56,15 @@ def test_edges_must_be_pairs():
     with pytest.raises(GraphError, match=r"edges must be \(u, v\) pairs, got an array of shape \(2, 3\)"):
         build_graph(3, np.zeros((2, 3), dtype=np.int64), [1, 1, 1])
     # float endpoints were truncated, into the edges 0-1 and 1-2
-    with pytest.raises(GraphError, match="vertex indices must be integers within int64, got float64"):
+    with pytest.raises(GraphError, match="vertex indices must be integers, got float64"):
         build_graph(3, [(0.7, 1.2), (1.9, 2.5)], [1, 1, 1])
+    # endpoints are read by value: uint64 ones are accepted, and one beyond
+    # int64, or beside one that is, is outside the range and named
+    uint = build_graph(3, np.array([[0, 1], [2, 1]], dtype=np.uint64), [1, 1, 1])
+    assert uint.indices.tolist() == build_graph(3, [(0, 1), (2, 1)], [1, 1, 1]).indices.tolist()
+    for edge in ((-1, 2**63), (0, 99999999999999999999999), (0, 10**30)):
+        with pytest.raises(GraphError, match=rf"edge \({edge[0]},{edge[1]}\) has an endpoint outside \[0,3\)"):
+            build_graph(3, [edge], [1, 1, 1])
 
 
 def test_duplicate_edges_merged():
@@ -94,11 +101,16 @@ def test_predicate_index_errors():
         MisSolution.from_members(p3, [3]).independent
     with pytest.raises(GraphError):
         MisSolution.from_members(p3, [-1]).weight
-    # a mask read as the ids {0, 1}, a float and a string were truncated to
-    # 1, and an id beyond int64 raised OverflowError
-    for members in (np.array([True, False, True]), [True], [1.7], ["1"], [99999999999999999999999]):
-        with pytest.raises(GraphError, match="vertex indices must be integers within int64"):
+    # a mask read as the ids {0, 1}, and a float and a string were truncated to 1
+    for members in (np.array([True, False, True]), [True], [1.7], ["1"]):
+        with pytest.raises(GraphError, match="vertex indices must be integers"):
             MisSolution.from_members(p3, members)
+    # ids are read by value: an id beyond int64 raised OverflowError, and
+    # numpy reads -1 beside 2**63 as floats
+    for members in ([99999999999999999999999], [-1, 2**63]):
+        with pytest.raises(GraphError, match=r"vertex index outside \[0,3\)"):
+            MisSolution.from_members(p3, members)
+    assert MisSolution.from_members(p3, np.array([2, 0], dtype=np.uint64)).members == (0, 2)
 
 
 def test_mis_solution_from_members():

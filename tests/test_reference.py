@@ -338,6 +338,34 @@ def test_parse_instance_errors_match_reference(text):
         assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p mwis 2 1\nn 1 4\nn 2 1\ne 0 1\n",  # an edge end below 1
+        "p mwis 2 1\nn 1 4\nn 2 1\ne 1 3\n",  # an edge end above n
+        "p mwis 2 1\nn 1 4\nn 2 1\ne 2 2\n",  # a self-loop
+        "p mwis 2 1\nn 1 4\nn 2 0\ne 1 2\n",
+        "p mwis 2 1\nn 1 4\nn 2 -1\ne 1 2\n",
+        "p mwis 2 1\nn 1 4\nn 2 inf\ne 1 2\n",
+        "p mwis 2 1\nn 1 4\nn 2 nan\ne 1 2\n",
+        "p mwis 2 1\nn 1 4\nn 2 0\ne 2 2\n",  # two bad lines: the weight's is named
+        "p mwis 2 1\ne 2 2\nn 1 4\nn 2 0\n",  # the same: the self-loop's is named
+        "p mwis 2 0\nn 1 1e308\nn 2 1e308\n",  # no bad line: a total that overflows
+    ],
+)
+@pytest.mark.parametrize("chunk_bytes", [7, graphnorm.io.CHUNK_BYTES])
+def test_parse_instance_byte_reader_leaves_graph_rules_to_build_graph(text, chunk_bytes):
+    # the byte reader reads the text, build_graph rejects it, and the line
+    # reader names the first bad line; with none, build_graph's message
+    # stands (the reference has no total-weight rule)
+    want = _outcome(reference.parse_instance, text)
+    if "1e308" in text:
+        want = "total weight overflows float64, so objectives would not be finite"
+    with mock.patch.object(graphnorm.io, "CHUNK_BYTES", chunk_bytes):
+        assert graphnorm.io._read_bytes(text) is not None
+        assert _outcome(parse_instance, text) == want
+
+
 @pytest.mark.parametrize("line", ODD_LINES)
 @pytest.mark.parametrize("replaced", ["n 1 1", "e 3 2"])
 def test_parse_instance_odd_line_matches_reference(line, replaced):

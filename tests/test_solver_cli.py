@@ -328,6 +328,25 @@ def test_cli_verify_id_beyond_int64_is_an_input_error(k2_file, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+    assert "outside [0,2)" in captured.err
+
+
+def test_cli_reads_files_with_a_byte_order_mark(k2_file, tmp_path, capsys):
+    # the mark was read as part of the first token: "unknown line type '\ufeffp'",
+    # and "cannot parse reference objective in ['\ufeffinstance', 'objective']"
+    (tmp_path / "bom").mkdir()
+    bom_file = tmp_path / "bom" / "k2.mwis"
+    bom_file.write_text(K2_TEXT, encoding="utf-8-sig")
+    refs = tmp_path / "refs.csv"
+    refs.write_text("instance,objective\nk2,4\n", encoding="utf-8-sig")
+    texts = []
+    for path in (k2_file, bom_file):
+        out = tmp_path / "res.json"
+        assert main(["solve", str(path), "--starts", "2", "--iterations", "100", "--reference", str(refs), "--output", str(out)]) == 0
+        texts.append(re.sub(r'"wall_time_ms": [^,\n]+', '"wall_time_ms": 0', out.read_text()))
+    assert texts[0] == texts[1]
+    assert reference.parse_result(texts[1]).gap_percent == 0.0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_verify_not_maximal(tmp_path, capsys):
@@ -495,14 +514,19 @@ def test_cli_oracle_rejects_empty_graph(tmp_path, capsys):
         ["solve", "K2", "--gamma0", "inf", "--gamma1", "inf"],
         ["oracle", "K2", "--gamma", "inf"],
         ["verify", "K2", "SOL", "--gamma", "inf"],
+        ["solve", "K2", "--gamma0", "nan"],
+        ["solve", "K2", "--gamma1", "nan"],
+        ["solve", "K2", "--gamma0", "inf"],
+        ["bench", "DIR", "--gamma0", "nan"],
     ],
-    ids=["solve-gamma1", "solve-both", "oracle", "verify"],
+    ids=["solve-gamma1", "solve-both", "oracle", "verify", "solve-gamma0-nan", "solve-gamma1-nan", "solve-gamma0", "bench"],
 )
 def test_cli_rejects_non_finite_gamma(k2_file, tmp_path, capsys, argv):
-    # at gamma = inf, solve fell back on every entry and exited 3, oracle printed q nan
+    # at gamma = inf, solve fell back on every entry and exited 3, oracle printed q nan;
+    # a nan, or an inf gamma0, was reported as "need gamma1 >= gamma0"
     sol = tmp_path / "sol.txt"
     sol.write_text("0\n")
-    argv = [{"K2": str(k2_file), "SOL": str(sol)}.get(arg, arg) for arg in argv]
+    argv = [{"K2": str(k2_file), "SOL": str(sol), "DIR": str(tmp_path)}.get(arg, arg) for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "finite" in captured.err and captured.out == ""
