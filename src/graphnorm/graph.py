@@ -203,15 +203,21 @@ def build_graph(
 def _int64_indices(a) -> np.ndarray:
     """Vertex indices by value; GraphError unless each is an integer, not a bool.
 
-    int64 if every index fits, copying no int64 array; else as read (uint64,
-    or Python ints), so that a range check compares and names the true values.
+    Any input but an integer-dtype array is judged element by element: numpy
+    reads a bool among ints as an int.  int64 if every index fits, copying
+    no int64 array; else as read (uint64, or Python ints), so that a range
+    check compares and names the true values.
     """
     items = a if isinstance(a, np.ndarray) else list(a)
     a = np.asarray(items)
-    if a.size and a.dtype.kind not in "iu":  # numpy reads ints beyond int64 as objects or floats
-        inferred, a = a.dtype, np.array(items, dtype=object)
-        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in a.flat):
-            raise GraphError(f"vertex indices must be integers, got {inferred}")
+    if a.size and not (isinstance(items, np.ndarray) and a.dtype.kind in "iu"):
+        # numpy reads ints beyond int64 as objects or floats
+        objects = np.array(items, dtype=object)
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in objects.flat):
+            got = a.dtype if a.dtype.kind not in "iu" else "bool"
+            raise GraphError(f"vertex indices must be integers, got {got}")
+        if a.dtype.kind not in "iu":
+            a = objects
     if np.can_cast(a.dtype, np.int64) or not a.size or -(1 << 63) <= a.min() and a.max() < 1 << 63:
         return a.astype(np.int64, copy=False)
     return a

@@ -31,8 +31,8 @@ def _neighbor_masks(g: WeightedGraph) -> list[int]:
     return [int(sum(1 << int(j) for j in g.neighbors(i))) for i in range(g.n)]
 
 
-def _mask_members(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+def _mask_members(mask: int) -> np.ndarray:
+    return np.array([i for i in range(mask.bit_length()) if mask >> i & 1], dtype=np.int64)
 
 
 def brute_force_mwis(g: WeightedGraph) -> MisSolution:

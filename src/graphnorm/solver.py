@@ -18,7 +18,6 @@ import numpy as np
 
 from .dynamics import (
     GammaSchedule,
-    NormalizationError,
     SolveTrace,
     init_random,
     init_warm,
@@ -59,20 +58,14 @@ def _run_single(
     record_trace: bool,
     start_id: str,
     x0: np.ndarray,
-) -> tuple[StartRecord, Optional[SolveTrace]]:
-    """One start, rounded; an aborted start has no trace and an empty, invalid record."""
+) -> tuple[StartRecord, SolveTrace]:
+    """One start, rounded, with its trace."""
     t0 = time.perf_counter()
-    try:
-        x, trace = run_wrgn(g, x0, schedule, record_trace=record_trace)
-    except NormalizationError:
-        trace = None
+    x, trace = run_wrgn(g, x0, schedule, record_trace=record_trace)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    if trace is None:
-        outcome = (0.0, False, False, 0)
-    else:
-        solution = round_to_mis(g, x)
-        outcome = (solution.weight, solution.independent, solution.maximal, len(trace))
-    return StartRecord(start_id, *outcome, elapsed), trace
+    solution = round_to_mis(g, x)
+    record = StartRecord(start_id, solution.weight, solution.independent, solution.maximal, len(trace), elapsed)
+    return record, trace
 
 
 def solve_instance(
@@ -86,8 +79,9 @@ def solve_instance(
 
     With warm starts supplied, one trajectory runs per vector; otherwise
     `config.starts` random starts are used.  The traces are keyed by start
-    id in start order, one per start that ran (an aborted start has none);
-    their energy and mass series are filled only under `config.trace`.
+    id in start order, one per start; their energy and mass series are
+    filled only under `config.trace`.  An error in any start fails the
+    solve: it propagates, and no result is returned.
     """
     schedule = config.schedule()
     if g.n < 1:
@@ -109,8 +103,5 @@ def solve_instance(
         )
 
     records = [rec for rec, _ in outcomes]
-    traces = {rec.start: trace for rec, trace in outcomes if trace is not None}
-    result = make_result(
-        instance_name, g, records, asdict(schedule), reference_objective
-    )
-    return result, traces
+    result = make_result(instance_name, g, records, asdict(schedule), reference_objective)
+    return result, {rec.start: trace for rec, trace in outcomes}

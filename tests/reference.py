@@ -83,6 +83,8 @@ def build_graph(n, edges, weights) -> WeightedGraph:
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         bad = int(np.argmin(np.where(np.isfinite(w), w, -np.inf)))
         raise GraphError(f"weight of vertex {bad} must be positive and finite, got {w[bad]}")
+    if not math.isfinite(sum(w.tolist())):
+        raise GraphError("total weight overflows float64, so objectives would not be finite")
     indptr, indices = csr_lists(n, edges)
     return WeightedGraph(n, indptr, indices, w)
 

@@ -58,6 +58,9 @@ def test_edges_must_be_pairs():
     # float endpoints were truncated, into the edges 0-1 and 1-2
     with pytest.raises(GraphError, match="vertex indices must be integers, got float64"):
         build_graph(3, [(0.7, 1.2), (1.9, 2.5)], [1, 1, 1])
+    # True beside an int was read as the endpoint 1, into the edge 1-2
+    with pytest.raises(GraphError, match="vertex indices must be integers, got bool"):
+        build_graph(3, [(True, 2)], [1, 1, 1])
     # endpoints are read by value: uint64 ones are accepted, and one beyond
     # int64, or beside one that is, is outside the range and named
     uint = build_graph(3, np.array([[0, 1], [2, 1]], dtype=np.uint64), [1, 1, 1])
@@ -111,6 +114,10 @@ def test_predicate_index_errors():
         with pytest.raises(GraphError, match=r"vertex index outside \[0,3\)"):
             MisSolution.from_members(p3, members)
     assert MisSolution.from_members(p3, np.array([2, 0], dtype=np.uint64)).members == (0, 2)
+    # numpy reads a bool among ints as an int: True was the id 1
+    for members in ([True, 2], [np.True_, 1]):
+        with pytest.raises(GraphError, match="vertex indices must be integers, got bool"):
+            MisSolution.from_members(p3, members)
 
 
 def test_mis_solution_from_members():

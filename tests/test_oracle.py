@@ -7,6 +7,7 @@ from graphnorm import MisSolution, build_graph, erdos_renyi
 from graphnorm.oracle import (
     MisCorrespondence,
     OracleReport,
+    _mask_members,
     brute_force_mwis,
     correspondence_check,
     enumerate_mises,
@@ -93,6 +94,13 @@ def test_enumerate_matches_subset_scan():
         got = [s.members for s in enumerate_mises(g)]
         assert got == exhaustive_maximal_sets(g)
         assert all(s.independent and s.maximal for s in enumerate_mises(g))
+
+
+def test_mask_members_are_an_int64_array():
+    # member_mask takes an int64 array as it is, with no element-by-element check
+    for mask, ids in ((0b101001, [0, 3, 5]), (0, [])):
+        members = _mask_members(mask)
+        assert members.dtype == np.int64 and members.tolist() == ids
 
 
 def test_enumerate_emits_ascending_member_tuples():

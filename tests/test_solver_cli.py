@@ -3,12 +3,12 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import reference
 import graphnorm.solver
@@ -118,28 +118,67 @@ def test_solver_matches_serial_reference(config, warm):
     assert all(t.energy == [] and t.pre_energy == [] and t.mass == [] for t in traces.values())
 
 
-def test_aborted_start_has_an_empty_record_and_no_trace(k2_heavy):
+def test_an_error_in_any_start_fails_the_solve(k2_heavy, k2_file, tmp_path, capsys):
     # init_random and init_warm clamp every start into [1e-3, 1], so no CLI
-    # input aborts a start; a patched run_wrgn aborts the second one
+    # input makes run_wrgn raise; a patched one raises on the second start
     config = RunConfig(starts=3, iterations=100)
-    clean, clean_traces = solve_instance(k2_heavy, "k2", config)
-    aborted_x0 = init_random(k2_heavy.n, [config.seed, 1])
+    failing_x0 = init_random(k2_heavy.n, [config.seed, 1])
     real_run = graphnorm.solver.run_wrgn
 
-    def run_or_abort(g, x0, schedule, **kwargs):
-        if np.array_equal(x0, aborted_x0):
+    def run_or_raise(g, x0, schedule, **kwargs):
+        if np.array_equal(x0, failing_x0):
             raise NormalizationError("initial state has a zero closed neighborhood sum")
         return real_run(g, x0, schedule, **kwargs)
 
-    with mock.patch("graphnorm.solver.run_wrgn", run_or_abort):
-        result, traces = solve_instance(k2_heavy, "k2", config)
-    untimed = [replace(s, wall_time_ms=0.0) for s in result.starts]
-    clean_untimed = [replace(s, wall_time_ms=0.0) for s in clean.starts]
-    assert untimed[1] == StartRecord("seed-0.1", 0.0, False, False, 0, 0.0)
-    assert untimed[::2] == clean_untimed[::2]
-    assert traces == {sid: clean_traces[sid] for sid in ("seed-0.0", "seed-0.2")}
-    assert list(traces) == ["seed-0.0", "seed-0.2"]
-    assert exit_code_for(result, traces) == 1
+    out = tmp_path / "result.json"
+    argv = ["solve", str(k2_file), "--starts", "3", "--iterations", "100", "--trace", "--output", str(out)]
+    with mock.patch("graphnorm.solver.run_wrgn", run_or_raise):
+        with pytest.raises(NormalizationError, match="zero closed neighborhood sum"):
+            solve_instance(k2_heavy, "k2", config)
+        code = main(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: initial state has a zero closed neighborhood sum\n"
+    assert not out.exists() and not Path(str(out) + ".trace.json").exists()
+
+
+@st.composite
+def extreme_solves(draw):
+    """A graph on at most 8 vertices, a run config and maybe warm starts, at the float range's ends."""
+    n = draw(st.integers(1, 8))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    # at most 8 weights of at most 1e300, so the total is finite
+    weights = draw(st.lists(st.floats(5e-324, 1e300), min_size=n, max_size=n))
+    gamma0 = draw(st.floats(1e-300, 1e300))
+    gamma1 = draw(st.one_of(st.just(gamma0), st.floats(gamma0, 1e300)))
+    config = RunConfig(gamma0, gamma1, draw(st.integers(2, 60)), draw(st.integers(1, 3)), draw(st.integers(0, 2**32)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    warm = draw(st.one_of(st.none(), st.lists(st.lists(finite, min_size=n, max_size=n).map(np.array), min_size=1, max_size=3)))
+    return build_graph(n, edges, weights), config, warm
+
+
+@given(extreme_solves())
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_every_start_runs_at_extreme_weights_and_gammas(case):
+    # gamma*A*y may overflow to inf, which sends its entry to 0; no start
+    # leaves the map's domain, so none raises
+    g, config, warm = case
+    finals = []
+    real_run = graphnorm.solver.run_wrgn
+
+    def run_and_keep(*args, **kwargs):
+        x, trace = real_run(*args, **kwargs)
+        finals.append(x)
+        return x, trace
+
+    with mock.patch("graphnorm.solver.run_wrgn", run_and_keep):
+        result, traces = solve_instance(g, "extreme", config, warm)
+    starts = len(warm) if warm else config.starts
+    assert len(result.starts) == len(traces) == len(finals) == starts
+    assert list(traces) == [s.start for s in result.starts]
+    assert all(s.valid and s.maximal for s in result.starts)
+    assert all(np.all(np.isfinite(x) & (x >= 0.0) & (x <= 1.0)) for x in finals)
 
 
 @pytest.mark.parametrize(
