@@ -167,7 +167,8 @@ def gn_step(g: WeightedGraph, x: np.ndarray, gamma: float) -> np.ndarray:
     to the positive denominators over an array of 0.5: an entry whose
     denominator is exactly 0, outside the map's domain, keeps that fallback.
     """
-    out, _ = _step(g, *_products(g, _checked_state(g, x)), _checked_gamma(gamma))
+    with np.errstate(over="ignore"):  # gamma*A*y overflowing to inf sends its entry to 0
+        out, _ = _step(g, *_products(g, _checked_state(g, x)), _checked_gamma(gamma))
     return out
 
 
@@ -215,30 +216,33 @@ def run_wrgn(
     x_new, y = np.empty(g.n), np.empty(g.n)
     trace = SolveTrace()
     final_gamma = schedule.final_gamma
-    for k in range(schedule.iterations):
-        gamma = schedule.gamma_at(k)
-        np.multiply(v, x, out=y)
-        ay = kernel @ y
+    # gamma*A*y may overflow to inf, which sends its entry to 0 and a traced
+    # energy to inf; errstate holds per thread, so it is set here, not round the pool
+    with np.errstate(over="ignore"):
+        for k in range(schedule.iterations):
+            gamma = schedule.gamma_at(k)
+            np.multiply(v, x, out=y)
+            ay = kernel @ y
+            if record_trace:
+                if k:
+                    # this state is the previous step's post-step state
+                    trace.energy.append(_energy(g, x, y, ay, trace.gamma[-1]))
+                trace.pre_energy.append(_energy(g, x, y, ay, gamma))
+            _, nfb = _step(g, y, ay, gamma, x_new)
+            delta = np.abs(np.subtract(x_new, x, out=y), out=y)  # y is spent
+            step_inf = float(delta.max(initial=0.0))
+            trace.gamma.append(gamma)
+            trace.step_inf.append(step_inf)
+            trace.fallbacks.append(nfb)
+            x, x_new = x_new, x
+            if not math.isfinite(step_inf):  # x was finite, so x_new is not
+                raise NormalizationError(f"non-finite state at iteration {k}")
+            if record_trace:
+                trace.mass.append(float(g.w @ x))
+            if early_exit and gamma == final_gamma and step_inf < 1e-12:
+                break
         if record_trace:
-            if k:
-                # this state is the previous step's post-step state
-                trace.energy.append(_energy(g, x, y, ay, trace.gamma[-1]))
-            trace.pre_energy.append(_energy(g, x, y, ay, gamma))
-        _, nfb = _step(g, y, ay, gamma, x_new)
-        delta = np.abs(np.subtract(x_new, x, out=y), out=y)  # y is spent
-        step_inf = float(delta.max(initial=0.0))
-        trace.gamma.append(gamma)
-        trace.step_inf.append(step_inf)
-        trace.fallbacks.append(nfb)
-        x, x_new = x_new, x
-        if not math.isfinite(step_inf):  # x was finite, so x_new is not
-            raise NormalizationError(f"non-finite state at iteration {k}")
-        if record_trace:
-            trace.mass.append(float(g.w @ x))
-        if early_exit and gamma == final_gamma and step_inf < 1e-12:
-            break
-    if record_trace:
-        trace.energy.append(energy(g, x, trace.gamma[-1]))
+            trace.energy.append(energy(g, x, trace.gamma[-1]))
     final = np.empty(g.n)
     final[order] = x
     return final, trace

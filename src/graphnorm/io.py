@@ -22,8 +22,9 @@ Three input formats are read here:
   6 bits per payload byte offset by 63; the enumeration's graph code is
   the payload bits before padding as one integer (graph6_adjacency).
 
-Solve results are written as JSON keyed by the fields of SolveResult and
-StartRecord in order; write_result states the one rule for every value.
+Solve results, which solver.solve_instance assembles, are written as JSON
+keyed by the fields of SolveResult and StartRecord in order; write_result
+states the one rule for every value.
 """
 
 from __future__ import annotations
@@ -363,29 +364,6 @@ class SolveResult(_Record):
         if reference > 0:
             return (reference - best) / reference * 100.0
         return None
-
-
-def make_result(
-    instance: str,
-    g: WeightedGraph,
-    starts: list[StartRecord],
-    schedule: dict,
-    reference_objective: Optional[float] = None,
-) -> SolveResult:
-    best = max((s.objective for s in starts), default=0.0)
-    gap = None
-    if reference_objective is not None:
-        gap = SolveResult.gap_of(reference_objective, best)
-    return SolveResult(
-        instance=instance,
-        n=g.n,
-        edges=g.num_edges,
-        starts=tuple(starts),
-        best_objective=best,
-        schedule=schedule,
-        reference_objective=reference_objective,
-        gap_percent=gap,
-    )
 
 
 def _canonical(value):

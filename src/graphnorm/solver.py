@@ -25,7 +25,7 @@ from .dynamics import (
     run_wrgn,
 )
 from .graph import WeightedGraph
-from .io import SolveResult, StartRecord, make_result
+from .io import SolveResult, StartRecord
 
 
 _PURSUIT = GammaSchedule.pursuit()
@@ -80,8 +80,10 @@ def solve_instance(
     With warm starts supplied, one trajectory runs per vector; otherwise
     `config.starts` random starts are used.  The traces are keyed by start
     id in start order, one per start; their energy and mass series are
-    filled only under `config.trace`.  An error in any start fails the
-    solve: it propagates, and no result is returned.
+    filled only under `config.trace`.  The result's best objective is the
+    highest start objective, and a reference sets its gap (SolveResult.gap_of).
+    An error in any start fails the solve: it propagates, and no result is
+    returned.
     """
     schedule = config.schedule()
     if g.n < 1:
@@ -102,6 +104,11 @@ def solve_instance(
             pool.map(_run_single, repeat(g), repeat(schedule), repeat(config.trace), ids, starts)
         )
 
-    records = [rec for rec, _ in outcomes]
-    result = make_result(instance_name, g, records, asdict(schedule), reference_objective)
-    return result, {rec.start: trace for rec, trace in outcomes}
+    records, traces = zip(*outcomes)
+    best = max(rec.objective for rec in records)  # there is a start: schedule() requires one
+    gap = None if reference_objective is None else SolveResult.gap_of(reference_objective, best)
+    result = SolveResult(
+        instance_name, g.n, g.num_edges, records, best, asdict(schedule),
+        reference_objective=reference_objective, gap_percent=gap,
+    )
+    return result, dict(zip(ids, traces))

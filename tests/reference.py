@@ -42,7 +42,7 @@ from graphnorm.dynamics import (
 )
 from graphnorm.enumeration import SpectrumClassification, SpectrumKind
 from graphnorm.graph import GraphError, MisSolution, WeightedGraph
-from graphnorm.io import FormatError, SolveResult, StartRecord, graph6_pairs, make_result
+from graphnorm.io import FormatError, SolveResult, StartRecord, graph6_pairs
 from graphnorm.oracle import PROBE_MAGNITUDE
 
 
@@ -320,7 +320,30 @@ def solve_instance(g, instance_name, config, warm_starts=None, reference_objecti
         "iterations": config.iterations,
         "mode": "constant" if config.gamma0 == config.gamma1 else "linear",
     }
-    return make_result(instance_name, g, records, schedule_info, reference_objective), traces
+    return solve_result(instance_name, g, records, schedule_info, reference_objective), traces
+
+
+def solve_result(instance_name, g, records, schedule_info, reference_objective=None) -> SolveResult:
+    """A solve's result from its start records: the best objective (0.0 over no start), and a gap to a positive reference."""
+    best = None
+    for rec in records:
+        if best is None or rec.objective > best:
+            best = rec.objective
+    if best is None:
+        best = 0.0
+    gap = None
+    if reference_objective is not None and reference_objective > 0:
+        gap = (reference_objective - best) / reference_objective * 100.0
+    return SolveResult(
+        instance=instance_name,
+        n=g.n,
+        edges=g.num_edges,
+        starts=tuple(records),
+        best_objective=best,
+        schedule=schedule_info,
+        reference_objective=reference_objective,
+        gap_percent=gap,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,13 @@ from graphnorm.io import (
     FormatError,
     SolveResult,
     StartRecord,
-    make_result,
     parse_graph6,
     parse_instance,
     parse_warm_start,
     read_reference_csv,
     write_result,
 )
-from reference import parse_result, write_graph6, write_instance
+from reference import parse_result, solve_result, write_graph6, write_instance
 
 K2_TEXT = "p mwis 2 1\nn 1 4\nn 2 1\ne 1 2\n"
 
@@ -176,7 +175,7 @@ def _toy_result(reference=None):
         StartRecord("seed-0.1", 1.0, True, True, 1000, 11.25),
     ]
     schedule = {"gamma0": 0.9, "gamma1": 1.5, "iterations": 1000, "mode": "linear"}
-    return make_result("k2", g, starts, schedule, reference)
+    return solve_result("k2", g, starts, schedule, reference)
 
 
 def test_gap_formula():
@@ -243,7 +242,7 @@ def test_result_text_is_pinned():
 def test_result_int_inputs_render_as_floats():
     starts = [StartRecord("seed-0.0", 4, True, True, 10, 3)]
     schedule = {"gamma0": 1.0, "gamma1": 2.0, "iterations": 10, "mode": "linear"}
-    text = write_result(make_result("k2", build_graph(2, [(0, 1)], [4, 1]), starts, schedule, 95))
+    text = write_result(solve_result("k2", build_graph(2, [(0, 1)], [4, 1]), starts, schedule, 95))
     assert '"objective": 4.0,' in text and '"wall_time_ms": 3.0\n' in text
     assert '"reference_objective": 95.0,' in text
 
@@ -269,7 +268,7 @@ def test_result_roundtrip_property(starts, reference, gammas, constant):
         "mode": "constant" if constant else "linear",
     }
     g = build_graph(2, [(0, 1)], [4.0, 1.0])
-    result = make_result("k2", g, starts, schedule, reference)
+    result = solve_result("k2", g, starts, schedule, reference)
     if result.gap_percent is not None and not math.isfinite(result.gap_percent):
         # a non-finite float has no JSON form
         with pytest.raises(ValueError, match="JSON"):

@@ -106,11 +106,12 @@ ER40 = erdos_renyi(40, 0.15, 1)
     ],
     ids=["random", "warm", "constant"],
 )
-def test_solver_matches_serial_reference(config, warm):
-    pooled, traces = solve_instance(ER40, "er40", config, warm, reference_objective=95.0)
-    serial, serial_traces = reference.solve_instance(
-        ER40, "er40", config, warm, reference_objective=95.0
-    )
+# a positive reference sets the gap; 0 and None leave it out
+@pytest.mark.parametrize("ref", [95.0, 0.0, None])
+def test_solver_matches_serial_reference(config, warm, ref):
+    pooled, traces = solve_instance(ER40, "er40", config, warm, reference_objective=ref)
+    serial, serial_traces = reference.solve_instance(ER40, "er40", config, warm, reference_objective=ref)
+    assert (pooled.gap_percent is None) == (not ref)
     assert _stable_view(write_result(pooled)) == _stable_view(write_result(serial))
     assert len({s.objective for s in pooled.starts}) == len(pooled.starts)
     assert list(traces) == [s.start for s in pooled.starts]
@@ -159,10 +160,10 @@ def extreme_solves(draw):
 
 
 @given(extreme_solves())
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_start_runs_at_extreme_weights_and_gammas(case):
-    # gamma*A*y may overflow to inf, which sends its entry to 0; no start
-    # leaves the map's domain, so none raises
+    # gamma*A*y may overflow to inf, which sends its entry to 0 without a
+    # warning; no start leaves the map's domain, so none raises
     g, config, warm = case
     finals = []
     real_run = graphnorm.solver.run_wrgn
@@ -291,6 +292,20 @@ def test_cli_solve_trace_leaves_no_file_when_the_result_write_fails(k2_file, tmp
     assert main(["solve", str(k2_file), "--iterations", "50", "--trace", "--output", str(out)]) == 2
     assert "Is a directory" in capsys.readouterr().err
     assert not (tmp_path / "out.trace.json").exists()
+
+
+def test_cli_solve_trace_with_an_overflowing_energy_names_its_start(tmp_path, capsys):
+    # gamma*A*y overflows, so the traced energy is inf, which has no JSON form;
+    # json.dumps once raised a message that named neither start nor step
+    inst = tmp_path / "big.mwis"
+    inst.write_text("p mwis 2 1\nn 1 1e300\nn 2 1e300\ne 1 2\n")
+    out = tmp_path / "res.json"
+    argv = ["solve", str(inst), "--gamma0", "1e300", "--gamma1", "1e300", "--starts", "1", "--iterations", "5"]
+    assert main(argv + ["--trace", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: start seed-0\.0: trace \w+ is inf at step \d+, which has no JSON form\n", captured.err)
+    assert list(tmp_path.iterdir()) == [inst]
 
 
 @pytest.mark.parametrize("flag", [["--trace"], ["--warm-start", "warm.txt"]])
