@@ -15,17 +15,15 @@ set that entry to the fallback value).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
 from .dynamics import GammaSchedule, mis_stability
 from .graph import MisSolution, WeightedGraph
-from .io import SolveResult, parse_instance, parse_warm_start, read_reference_csv, write_result
+from .io import SolveResult, parse_instance, parse_warm_start, read_reference_csv, write_result, write_traces
 from .oracle import correspondence_check
 from .solver import RunConfig, solve_instance
 
@@ -89,17 +87,6 @@ def exit_code_for(result, traces) -> int:
     return EXIT_OK
 
 
-def _trace_json(traces: dict) -> str:
-    """The traces as JSON; a non-finite value has no JSON form and raises ValueError naming where it is."""
-    payload = {sid: asdict(trace) for sid, trace in traces.items()}
-    for sid, series in payload.items():
-        for name, values in series.items():
-            bad = next((k for k, value in enumerate(values) if not math.isfinite(value)), None)
-            if bad is not None:
-                raise ValueError(f"start {sid}: trace {name} is {values[bad]} at step {bad}, which has no JSON form")
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
 def cmd_solve(args) -> int:
     if args.trace and args.output in (None, "-"):
         raise ValueError("--trace writes FILE.trace.json next to the result; give --output FILE")
@@ -109,7 +96,7 @@ def cmd_solve(args) -> int:
     config = _config_from_args(args, args.trace)
     result, traces, text = _solve_file(args.instance, config, refs, args.warm_start)
     if args.trace:  # both texts render before either file is written; the result goes first
-        trace_text = _trace_json(traces)
+        trace_text = write_traces(traces)
     _emit(text, args.output)
     if args.trace:
         Path(args.output + ".trace.json").write_text(trace_text)

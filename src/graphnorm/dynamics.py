@@ -99,7 +99,8 @@ class SolveTrace:
     even under a moving schedule.  Both are read from the products
     y = v*x and A@y a step computes anyway: pre_energy[k] from step k's,
     energy[k] from step k+1's, and the last energy from one extra
-    product.  Each equals energy() on its state, bit for bit.
+    product, as is pre_energy[0] when run_wrgn takes the first step from
+    a scaled start.  Each equals energy() on its state, bit for bit.
     """
 
     gamma: list[float] = field(default_factory=list)
@@ -138,6 +139,17 @@ def _energy(g: WeightedGraph, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamm
     return float(0.5 * (y @ y + gamma * (y @ ay)) - g.w @ x)
 
 
+def _scaled(x: np.ndarray) -> np.ndarray:
+    """x itself if its max is at most 1, else x scaled by a power of two to a max in [0.5, 1).
+
+    The map is homogeneous of degree 0 in x, so a step from the scaled state
+    is the step from x, bit for bit while the scaled entries stay normal,
+    and its weighted entries v*x cannot overflow.
+    """
+    top = x.max(initial=0.0)
+    return np.ldexp(x, -math.frexp(top)[1]) if top > 1.0 else x
+
+
 def _step(
     g: WeightedGraph, y: np.ndarray, ay: np.ndarray, gamma: float, out: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, int]:
@@ -166,9 +178,10 @@ def gn_step(g: WeightedGraph, x: np.ndarray, gamma: float) -> np.ndarray:
     x'_i = x_i / (x_i + gamma * sum_{j ~ i} (v_j / v_i) x_j), one divide masked
     to the positive denominators over an array of 0.5: an entry whose
     denominator is exactly 0, outside the map's domain, keeps that fallback.
+    A state whose max exceeds 1 steps from its power-of-two scaling (_scaled).
     """
     with np.errstate(over="ignore"):  # gamma*A*y overflowing to inf sends its entry to 0
-        out, _ = _step(g, *_products(g, _checked_state(g, x)), _checked_gamma(gamma))
+        out, _ = _step(g, *_products(g, _scaled(_checked_state(g, x))), _checked_gamma(gamma))
     return out
 
 
@@ -194,10 +207,11 @@ def run_wrgn(
     underflow falls back as gn_step does, and the trace counts it.  When
     early_exit is set, stops once gamma has reached its final value and
     the step infinity-norm falls below 1e-12; otherwise runs the full
-    budget.  Each entry after a step is y/d with 0 <= y <= d, or 0.5, so
-    the final state lies in [0, 1].  The trace carries the energy/mass
-    series only when record_trace is set; step norms and fallback counts
-    are always kept.
+    budget.  The first step is taken from the start's power-of-two scaling
+    (_scaled), which changes no state after it.  Each entry after a step
+    is y/d with 0 <= y <= d, or 0.5, so the final state lies in [0, 1].
+    The trace carries the energy/mass series only when record_trace is
+    set; step norms and fallback counts are always kept.
 
     An untraced run steps in the graph's kernel order (WeightedGraph.kernel):
     it permutes the start once, and every elementwise operation and each
@@ -213,6 +227,7 @@ def run_wrgn(
 
     order, kernel = (np.arange(g.n), g.adjacency()) if record_trace else g.kernel()
     v, x = g.v[order], x[order]  # a copy: the start is never written
+    first = _scaled(x)  # the state the first step is taken from
     x_new, y = np.empty(g.n), np.empty(g.n)
     trace = SolveTrace()
     final_gamma = schedule.final_gamma
@@ -221,13 +236,14 @@ def run_wrgn(
     with np.errstate(over="ignore"):
         for k in range(schedule.iterations):
             gamma = schedule.gamma_at(k)
-            np.multiply(v, x, out=y)
+            np.multiply(v, x if k else first, out=y)
             ay = kernel @ y
             if record_trace:
                 if k:
                     # this state is the previous step's post-step state
                     trace.energy.append(_energy(g, x, y, ay, trace.gamma[-1]))
-                trace.pre_energy.append(_energy(g, x, y, ay, gamma))
+                # the energy, unlike the map, depends on the start's scale
+                trace.pre_energy.append(_energy(g, x, y, ay, gamma) if k or first is x else energy(g, x, gamma))
             _, nfb = _step(g, y, ay, gamma, x_new)
             delta = np.abs(np.subtract(x_new, x, out=y), out=y)  # y is spent
             step_inf = float(delta.max(initial=0.0))
@@ -282,7 +298,8 @@ def energy(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
     the Lyapunov function the dynamics strictly decrease at fixed gamma.
     """
     x = _checked_state(g, x)
-    return _energy(g, x, *_products(g, x), _checked_gamma(gamma))
+    with np.errstate(over="ignore"):  # an energy beyond the float range is inf
+        return _energy(g, x, *_products(g, x), _checked_gamma(gamma))
 
 
 def weighted_mass(g: WeightedGraph, x: np.ndarray) -> float:

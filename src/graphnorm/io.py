@@ -1,4 +1,4 @@
-"""Readers for instances, warm-start vectors and graph6 records; the result writer.
+"""Readers for instances, warm-start vectors and graph6 records; the result and trace writers.
 
 Three input formats are read here:
 
@@ -17,14 +17,16 @@ Three input formats are read here:
 
 * warm-start vectors: exactly n lines, one finite decimal per line.
 
-* graph6 records: standard sparse-graph encoding, one per line,
-  single size byte (n <= 62), upper-triangle bits column-major,
-  6 bits per payload byte offset by 63; the enumeration's graph code is
-  the payload bits before padding as one integer (graph6_adjacency).
+* graph6 records: standard sparse-graph encoding, one per line, the
+  size in one byte (n <= 62) or in "~" and three bytes (n <= 258047),
+  upper-triangle bits column-major, 6 bits per payload byte offset by
+  63; the enumeration's graph code is the payload bits before padding
+  as one integer (graph6_adjacency).
 
-Solve results, which solver.solve_instance assembles, are written as JSON
-keyed by the fields of SolveResult and StartRecord in order; write_result
-states the one rule for every value.
+Both files a solve writes are rendered here from plain records, which
+solver.solve_instance assembles: the result as JSON keyed by the fields of
+SolveResult and StartRecord in order (write_result states the one rule for
+every value), and the traces as JSON keyed by start id (write_traces).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from io import StringIO  # the standard library's io: imports are absolute
 from typing import Optional
@@ -306,10 +308,13 @@ def parse_graph6(line: str) -> np.ndarray:
     for ch in s:
         if not 63 <= ord(ch) <= 126:
             raise FormatError(f"character {ch!r} outside graph6 alphabet")
-    n = ord(s[0]) - 63
-    if n == 63:
-        raise FormatError("multi-byte graph6 sizes (n > 62) not supported")
-    payload = s[1:]
+    n, payload = ord(s[0]) - 63, s[1:]
+    if n == 63:  # "~": n is the next three bytes, 6 bits each, or after "~~" the next six
+        if s[1:2] == "~":
+            raise FormatError("8-byte graph6 sizes (n > 258047) not supported")
+        if len(s) < 4:
+            raise FormatError("graph6 record ends inside its 4-byte size")
+        n, payload = int("".join(f"{ord(ch) - 63:06b}" for ch in s[1:4]), 2), s[4:]
     nbits = n * (n - 1) // 2
     expected = (nbits + 5) // 6
     if len(payload) != expected:
@@ -321,21 +326,12 @@ def parse_graph6(line: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Solve results
-
-
-class _Record:
-    """Base of the result dataclasses, whose fields, in order, are the JSON keys."""
-
-    def __post_init__(self):  # a float field given an int holds, and renders as, a float
-        for f in fields(self):
-            if f.type in ("float", "Optional[float]") and getattr(self, f.name) is not None:
-                object.__setattr__(self, f.name, float(getattr(self, f.name)))
+# Solve results and traces
 
 
 @dataclass(frozen=True)
-class StartRecord(_Record):
-    """Outcome of a single trajectory."""
+class StartRecord:
+    """Outcome of a single trajectory; its fields, in order, are the JSON keys."""
 
     start: str  # seed tag for random starts, file id for warm starts
     objective: float
@@ -346,8 +342,8 @@ class StartRecord(_Record):
 
 
 @dataclass(frozen=True)
-class SolveResult(_Record):
-    """Aggregated outcome of a multi-start run on one instance."""
+class SolveResult:
+    """Aggregated outcome of a multi-start run on one instance; its fields, in order, are the JSON keys."""
 
     instance: str
     n: int
@@ -391,6 +387,17 @@ def write_result(result: SolveResult) -> str:
             " gives a non-finite gap, which has no JSON form"
         )
     return json.dumps(_canonical(asdict(result)), indent=2, allow_nan=False) + "\n"
+
+
+def write_traces(traces: dict) -> str:
+    """The traces as JSON; a non-finite value has no JSON form and raises ValueError naming where it is."""
+    payload = {sid: asdict(trace) for sid, trace in traces.items()}
+    for sid, series in payload.items():
+        for name, values in series.items():
+            bad = next((k for k, value in enumerate(values) if not math.isfinite(value)), None)
+            if bad is not None:
+                raise ValueError(f"start {sid}: trace {name} is {values[bad]} at step {bad}, which has no JSON form")
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def read_reference_csv(text: str) -> dict[str, float]:

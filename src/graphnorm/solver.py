@@ -106,9 +106,10 @@ def solve_instance(
 
     records, traces = zip(*outcomes)
     best = max(rec.objective for rec in records)  # there is a start: schedule() requires one
-    gap = None if reference_objective is None else SolveResult.gap_of(reference_objective, best)
+    reference = None if reference_objective is None else float(reference_objective)
+    gap = None if reference is None else SolveResult.gap_of(reference, best)
     result = SolveResult(
         instance_name, g.n, g.num_edges, records, best, asdict(schedule),
-        reference_objective=reference_objective, gap_percent=gap,
+        reference_objective=reference, gap_percent=gap,
     )
     return result, dict(zip(ids, traces))

@@ -237,7 +237,14 @@ def write_instance(g, comment=None) -> str:
 
 
 def step(g, x, gamma):
-    """One normalization step from the state itself; returns (new state, fallback count)."""
+    """One normalization step; returns (new state, fallback count).
+
+    A state whose max exceeds 1 is first multiplied by 2**-e, e the exponent
+    frexp gives its max: the map is homogeneous of degree 0 in x.
+    """
+    top = float(np.max(x, initial=0.0))
+    if top > 1.0:
+        x = x * 2.0 ** -math.frexp(top)[1]
     y = g.v * x
     d = y + gamma * (g.adjacency() @ y)
     ok = d > 0.0
@@ -405,10 +412,16 @@ def parse_graph6(line):
     for ch in s:
         if not 63 <= ord(ch) <= 126:
             raise FormatError(f"character {ch!r} outside graph6 alphabet")
-    n = ord(s[0]) - 63
+    n, size = ord(s[0]) - 63, 1
     if n == 63:
-        raise FormatError("multi-byte graph6 sizes (n > 62) not supported")
-    payload = s[1:]
+        if len(s) > 1 and s[1] == "~":
+            raise FormatError("8-byte graph6 sizes (n > 258047) not supported")
+        if len(s) < 4:
+            raise FormatError("graph6 record ends inside its 4-byte size")
+        n, size = 0, 4
+        for ch in s[1:4]:
+            n = n * 64 + ord(ch) - 63
+    payload = s[size:]
     nbits = n * (n - 1) // 2
     expected = (nbits + 5) // 6
     if len(payload) != expected:
@@ -433,15 +446,15 @@ def write_graph6(adj):
     """The graph6 writer, one bit at a time."""
     adj = np.asarray(adj)
     n = adj.shape[0]
-    if n > 62:
-        raise FormatError("graph6 writer supports n <= 62")
+    if n > 258047:
+        raise FormatError("graph6 writer supports n <= 258047")
     bits = []
     for j in range(1, n):
         for i in range(j):
             bits.append(int(adj[i, j]))
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(n + 63)]
+    out = [chr(n + 63)] if n <= 62 else ["~"] + [chr((n >> shift) % 64 + 63) for shift in (12, 6, 0)]
     for k in range(0, len(bits), 6):
         val = 0
         for b in bits[k : k + 6]:

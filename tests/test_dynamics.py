@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from graphnorm import (
     GammaSchedule,
@@ -21,7 +21,7 @@ from graphnorm import (
     simplex_state,
     weighted_mass,
 )
-from graphnorm.dynamics import FALLBACK_VALUE, _products, _step
+from graphnorm.dynamics import FALLBACK_VALUE, _products, _scaled, _step
 from graphnorm.graph import WeightedGraph
 
 import reference
@@ -119,6 +119,57 @@ def test_step_weight_scale_is_exact(gx, data, gamma, k):
     out_scaled, fallbacks_scaled = _step(scaled, *_products(scaled, x), gamma)
     np.testing.assert_array_equal(out_scaled, out)
     assert fallbacks_scaled == fallbacks
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_weighted_state_steps_from_its_scaling():
+    # v*x overflows at the caller's scale, which gave [nan, 0.]; the map is
+    # homogeneous of degree 0, and by hand the step from x / 2**997 is [1, 1e-300]
+    g = build_graph(2, [(0, 1)], [1e300, 1e-300])
+    x = np.array([1e300, 1e300])
+    out = gn_step(g, x, 1.0)
+    np.testing.assert_array_equal(out, gn_step(g, np.ldexp(x, -997), 1.0))
+    np.testing.assert_allclose(out, [1.0, 1e-300], rtol=1e-15, atol=0.0)
+    schedule = GammaSchedule.constant(1.0, 3)
+    final, trace = run_wrgn(g, x, schedule)
+    np.testing.assert_array_equal(final, run_wrgn(g, np.ldexp(x, -997), schedule)[0])
+    assert np.all(np.isfinite(final)) and trace.step_inf[0] == 1e300  # from the caller's start
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_traced_run_from_a_state_above_one_records_its_energy(p3_weighted):
+    # every state after the start is the scaled start's, bit for bit; the
+    # energy, unlike the map, depends on the start's own scale
+    x = np.array([3.0, 5.0, 1.0])
+    schedule = GammaSchedule.pursuit(iterations=20)
+    final, trace = run_wrgn(p3_weighted, x, schedule, record_trace=True)
+    final_scaled, trace_scaled = run_wrgn(p3_weighted, x / 8.0, schedule, record_trace=True)
+    np.testing.assert_array_equal(final, final_scaled)
+    assert trace.pre_energy[0] == energy(p3_weighted, x, schedule.gamma0) != trace_scaled.pre_energy[0]
+    assert trace.pre_energy[1:] == trace_scaled.pre_energy[1:]
+    assert (trace.energy, trace.mass, trace.step_inf[1:]) == (trace_scaled.energy, trace_scaled.mass, trace_scaled.step_inf[1:])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(
+    graph_and_state(),
+    st.data(),
+    st.floats(0.01, 3.0),
+)
+def test_scaled_step_is_the_unscaled_step(gx, data, gamma):
+    # entries in {0} u [1e-100, 1e100] overflow nothing at their own scale
+    # and stay normal through the products at the scaled one, where the
+    # power-of-two scaling is exact
+    g, _ = gx
+    x = np.array(data.draw(st.lists(st.just(0.0) | st.floats(1e-100, 1e100), min_size=g.n, max_size=g.n)))
+    assume(x.max() > 1.0)
+    scaled = _scaled(x)
+    y, _ = _products(g, scaled)
+    assert scaled.max() < 1.0 and np.all((y == 0) | (y >= np.finfo(float).tiny))
+    out, fallbacks = _step(g, *_products(g, x), gamma)
+    np.testing.assert_array_equal(gn_step(g, x, gamma), out)
+    if not fallbacks:
+        np.testing.assert_array_equal(run_wrgn(g, x, GammaSchedule.constant(gamma, 1))[0], out)
 
 
 def test_component_independence():
@@ -447,6 +498,12 @@ def test_energy_examples(k2_uniform):
     assert energy(k2_uniform, [0, 0], 1.7) == 0.0
     assert energy(k2_uniform, [1, 0], 0.3) == pytest.approx(-0.5)
     assert energy(k2_uniform, [1, 1], 1.0) == pytest.approx(0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_energy_beyond_the_float_range_is_inf_silently():
+    # gamma * y'Ay overflows, as run_wrgn's traced energies may
+    assert energy(build_graph(2, [(0, 1)], [1e300, 1e300]), np.array([1.0, 1.0]), 1e300) == math.inf
 
 
 def test_weighted_mass_examples(k2_heavy):

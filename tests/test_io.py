@@ -16,6 +16,7 @@ from graphnorm.io import (
     read_reference_csv,
     write_result,
 )
+import reference
 from reference import parse_result, solve_result, write_graph6, write_instance
 
 K2_TEXT = "p mwis 2 1\nn 1 4\nn 2 1\ne 1 2\n"
@@ -119,13 +120,16 @@ def test_graph6_errors():
         parse_graph6("B")  # truncated payload
     with pytest.raises(FormatError):
         parse_graph6("A!")  # character below 63
-    with pytest.raises(FormatError):
-        parse_graph6("~??")  # multi-byte size
+    for record in ("~", "~??"):
+        with pytest.raises(FormatError, match="^graph6 record ends inside its 4-byte size$"):
+            parse_graph6(record)
+    with pytest.raises(FormatError, match=r"^8-byte graph6 sizes \(n > 258047\) not supported$"):
+        parse_graph6("~~???????")
     for record in ("", ">>graph6<<"):
         with pytest.raises(FormatError, match="empty graph6 record"):
             parse_graph6(record)
-    with pytest.raises(FormatError, match="graph6 writer supports n <= 62"):
-        write_graph6(np.zeros((63, 63), dtype=np.int8))
+    with pytest.raises(FormatError, match="graph6 writer supports n <= 258047"):
+        write_graph6(np.broadcast_to(np.int8(0), (258048, 258048)))  # a view: no memory
 
 
 def _edges_adjacency(n, edges):
@@ -166,6 +170,28 @@ def test_graph6_roundtrip(n, seed):
     adj[iu, ju] = adj[ju, iu] = bits
     line = write_graph6(adj)
     np.testing.assert_array_equal(parse_graph6(line), adj)
+
+
+def test_graph6_four_byte_size_from_networkx():
+    # n = 63 is the first size past one byte: "~" and three 6-bit bytes
+    nx = pytest.importorskip("networkx")
+    record = nx.to_graph6_bytes(nx.cycle_graph(63), header=False).decode().strip()
+    assert record.startswith("~??~")
+    adj = _edges_adjacency(63, [(i, (i + 1) % 63) for i in range(63)])
+    np.testing.assert_array_equal(parse_graph6(record), adj)
+    assert write_graph6(adj) == record
+
+
+@pytest.mark.parametrize("n", range(63, 71))
+def test_graph6_four_byte_size_roundtrip(n):
+    rng = np.random.default_rng(n)
+    adj = np.zeros((n, n), dtype=np.int8)
+    iu, ju = np.triu_indices(n, k=1)
+    adj[iu, ju] = adj[ju, iu] = rng.integers(0, 2, size=len(iu))
+    line = write_graph6(adj)
+    assert line[0] == "~" and len(line) == 4 + (len(iu) + 5) // 6
+    np.testing.assert_array_equal(parse_graph6(line), adj)
+    np.testing.assert_array_equal(reference.parse_graph6(line), adj)
 
 
 def _toy_result(reference=None):
@@ -237,14 +263,6 @@ def test_result_text_is_pinned():
     with_reference = '  "reference_objective": 4.0,\n  "gap_percent": 0.0,\n'
     assert write_result(_toy_result(4.0)) == TOY_HEAD + with_reference + TOY_TAIL
     assert write_result(_toy_result()) == TOY_HEAD + TOY_TAIL
-
-
-def test_result_int_inputs_render_as_floats():
-    starts = [StartRecord("seed-0.0", 4, True, True, 10, 3)]
-    schedule = {"gamma0": 1.0, "gamma1": 2.0, "iterations": 10, "mode": "linear"}
-    text = write_result(solve_result("k2", build_graph(2, [(0, 1)], [4, 1]), starts, schedule, 95))
-    assert '"objective": 4.0,' in text and '"wall_time_ms": 3.0\n' in text
-    assert '"reference_objective": 95.0,' in text
 
 
 _floats = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))

@@ -505,6 +505,19 @@ def test_cli_atoms_graph6(tmp_path, capsys):
     assert "6" in out and "2" in out
 
 
+def test_cli_atoms_graph6_four_byte_size(tmp_path, capsys):
+    # the 63-cycle: the first order past graph6's one-byte size; connected, regular, continuous
+    step = np.roll(np.eye(63, dtype=np.int8), 1, axis=1)  # i -> i + 1 mod 63
+    f = tmp_path / "c63.g6"
+    f.write_text(reference.write_graph6(step + step.T) + "\n")
+    assert main(["atoms", "--graph6", str(f)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert dict(zip(header.split(), row.split())) == {
+        "n": "63", "connected": "1", "irr.disc": "0", "irr.cont": "0",
+        "reg.disc": "0", "reg.cont": "1", "atomic": "1", "density": "100.0%",
+    }
+
+
 def test_cli_atoms_graph6_rejects_cumulative(tmp_path, capsys):
     # --cumulative was ignored for a graph6 stream, which gave one row and exit 0
     f = tmp_path / "graphs.g6"
