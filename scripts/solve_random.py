@@ -32,9 +32,9 @@ def main():
     hits = 0
     for k in range(args.count):
         g = erdos_renyi(args.n, args.p, [args.seed, k])
-        result, _ = solve_instance(g, f"er-{k}", config)
         opt = brute_force_mwis(g)
-        gap = (opt.weight - result.best_objective) / opt.weight * 100.0
+        result, _ = solve_instance(g, f"er-{k}", config, reference_objective=opt.weight)
+        gap = result.gap_percent
         gaps.append(gap)
         hits += int(gap < 1e-9)
         print(

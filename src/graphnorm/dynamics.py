@@ -134,20 +134,22 @@ def _products(g: WeightedGraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, g.adjacency() @ y
 
 
-def _energy(g: WeightedGraph, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamma: float) -> float:
-    """Energy of x at gamma from its products (y, ay)."""
-    return float(0.5 * (y @ y + gamma * (y @ ay)) - g.w @ x)
+def _energy(g: WeightedGraph, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamma: float, e: int = 0) -> float:
+    """Energy of 2**e * x at gamma from x's products (y, ay): 2**e * (2**e * Q(x) - w.x), Q the quadratic part."""
+    q = 0.5 * (y @ y + gamma * (y @ ay))
+    return float(np.ldexp(np.ldexp(q, e) - g.w @ x, e) if e else q - g.w @ x)
 
 
-def _scaled(x: np.ndarray) -> np.ndarray:
-    """x itself if its max is at most 1, else x scaled by a power of two to a max in [0.5, 1).
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(s, e) with x = 2**e * s: (x, 0) if x's max is at most 1, else s has a max in [0.5, 1).
 
     The map is homogeneous of degree 0 in x, so a step from the scaled state
     is the step from x, bit for bit while the scaled entries stay normal,
-    and its weighted entries v*x cannot overflow.
+    and its weighted entries v*s cannot overflow.
     """
     top = x.max(initial=0.0)
-    return np.ldexp(x, -math.frexp(top)[1]) if top > 1.0 else x
+    e = math.frexp(top)[1] if top > 1.0 else 0
+    return (np.ldexp(x, -e) if e else x), e
 
 
 def _step(
@@ -181,14 +183,15 @@ def gn_step(g: WeightedGraph, x: np.ndarray, gamma: float) -> np.ndarray:
     A state whose max exceeds 1 steps from its power-of-two scaling (_scaled).
     """
     with np.errstate(over="ignore"):  # gamma*A*y overflowing to inf sends its entry to 0
-        out, _ = _step(g, *_products(g, _scaled(_checked_state(g, x))), _checked_gamma(gamma))
+        out, _ = _step(g, *_products(g, _scaled(_checked_state(g, x))[0]), _checked_gamma(gamma))
     return out
 
 
 def is_normalizable(g: WeightedGraph, x: np.ndarray) -> bool:
     """All closed neighborhood sums positive (the domain of the map)."""
     x = _checked_state(g, x)
-    closed = x + g.adjacency() @ x
+    with np.errstate(over="ignore"):  # a sum beyond the float range is inf, still positive
+        closed = x + g.adjacency() @ x
     return bool(np.all(closed > 0.0))
 
 
@@ -227,7 +230,7 @@ def run_wrgn(
 
     order, kernel = (np.arange(g.n), g.adjacency()) if record_trace else g.kernel()
     v, x = g.v[order], x[order]  # a copy: the start is never written
-    first = _scaled(x)  # the state the first step is taken from
+    first, _ = _scaled(x)  # the state the first step is taken from
     x_new, y = np.empty(g.n), np.empty(g.n)
     trace = SolveTrace()
     final_gamma = schedule.final_gamma
@@ -297,19 +300,22 @@ def energy(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
     In the weighted state y = v*x this is (1/2) y'(I + gamma A)y - v'y,
     the Lyapunov function the dynamics strictly decrease at fixed gamma.
     """
-    x = _checked_state(g, x)
+    s, e = _scaled(_checked_state(g, x))  # v*s cannot overflow, where v*x may
     with np.errstate(over="ignore"):  # an energy beyond the float range is inf
-        return _energy(g, x, *_products(g, x), _checked_gamma(gamma))
+        return _energy(g, s, *_products(g, s), _checked_gamma(gamma), e)
 
 
 def weighted_mass(g: WeightedGraph, x: np.ndarray) -> float:
-    """Relaxed objective sum(w_i x_i); strictly increases along trajectories."""
-    return float(g.w @ _checked_state(g, x))
+    """Relaxed objective sum(w_i x_i), inf beyond the float range; strictly increases along trajectories."""
+    with np.errstate(over="ignore"):
+        return float(g.w @ _checked_state(g, x))
 
 
 def simplex_state(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
     """Mass-normalized coordinates p_i = w_i x_i / sum_j w_j x_j."""
     x = _checked_state(g, x)
+    if weighted_mass(g, x) == math.inf:  # p does not depend on x's scale, and the scaled state's mass is finite
+        x, _ = _scaled(x)
     m = g.w @ x
     if not m > 0.0:
         raise ValueError("weighted mass must be positive")

@@ -27,8 +27,12 @@ ENUMERATION_LIMIT = 24
 CORRESPONDENCE_LIMIT = 16
 
 
-def _neighbor_masks(g: WeightedGraph) -> list[int]:
-    return [int(sum(1 << int(j) for j in g.neighbors(i))) for i in range(g.n)]
+def _neighbor_masks(g: WeightedGraph, order: Sequence[int]) -> list[int]:
+    """Neighbourhood bitmasks in a vertex order: mask p is order[p]'s, bit q stands for order[q]."""
+    pos = np.empty(g.n, dtype=np.int64)
+    pos[order] = np.arange(g.n)
+    bits, ptr = pos[g.indices].tolist(), g.indptr.tolist()
+    return [sum(1 << q for q in bits[ptr[i] : ptr[i + 1]]) for i in order]
 
 
 def _mask_members(mask: int) -> np.ndarray:
@@ -45,13 +49,9 @@ def brute_force_mwis(g: WeightedGraph) -> MisSolution:
     n = g.n
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force supports n <= {BRUTE_FORCE_LIMIT}, got {n}")
-    order = sorted(range(n), key=lambda i: (-g.w[i], i))
-    pos_of = {orig: pos for pos, orig in enumerate(order)}
-    wp = [float(g.w[orig]) for orig in order]
-    nbr = [0] * n
-    for orig in range(n):
-        for j in g.neighbors(orig):
-            nbr[pos_of[orig]] |= 1 << pos_of[int(j)]
+    order = np.argsort(-g.w, kind="stable")  # heaviest first, ties to the smaller index
+    wp = g.w[order].tolist()
+    nbr = _neighbor_masks(g, order)
 
     best_w = -1.0
     best_mask = 0
@@ -80,8 +80,7 @@ def brute_force_mwis(g: WeightedGraph) -> MisSolution:
     full = (1 << n) - 1
     rec(full, sum(wp), 0.0, 0)
 
-    selected = np.zeros(n, dtype=bool)
-    selected[[order[p] for p in _mask_members(best_mask)]] = True
+    selected = member_mask(g, order[_mask_members(best_mask)])
     greedy_complete(g, selected)
     return MisSolution.from_members(g, np.flatnonzero(selected))
 
@@ -99,7 +98,7 @@ def enumerate_mises(g: WeightedGraph) -> list[MisSolution]:
     n = g.n
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration supports n <= {ENUMERATION_LIMIT}, got {n}")
-    nbr = _neighbor_masks(g)
+    nbr = _neighbor_masks(g, range(n))
     results: list[int] = []
 
     def rec(i: int, chosen: int, undominated: int) -> None:
@@ -173,8 +172,7 @@ def _tangent_probes(
     sqrt(w)-proportional decrease over the members; the rest are random.
     """
     n = g.n
-    inside = np.zeros(n, dtype=bool)
-    inside[members] = True
+    inside = member_mask(g, members)
     outside = np.flatnonzero(~inside)
     sw = g.v
     sw_members = np.where(inside, sw, 0.0)

@@ -121,7 +121,6 @@ def test_step_weight_scale_is_exact(gx, data, gamma, k):
     assert fallbacks_scaled == fallbacks
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_weighted_state_steps_from_its_scaling():
     # v*x overflows at the caller's scale, which gave [nan, 0.]; the map is
     # homogeneous of degree 0, and by hand the step from x / 2**997 is [1, 1e-300]
@@ -136,7 +135,6 @@ def test_overflowing_weighted_state_steps_from_its_scaling():
     assert np.all(np.isfinite(final)) and trace.step_inf[0] == 1e300  # from the caller's start
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_traced_run_from_a_state_above_one_records_its_energy(p3_weighted):
     # every state after the start is the scaled start's, bit for bit; the
     # energy, unlike the map, depends on the start's own scale
@@ -150,7 +148,6 @@ def test_traced_run_from_a_state_above_one_records_its_energy(p3_weighted):
     assert (trace.energy, trace.mass, trace.step_inf[1:]) == (trace_scaled.energy, trace_scaled.mass, trace_scaled.step_inf[1:])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(
     graph_and_state(),
     st.data(),
@@ -163,7 +160,7 @@ def test_scaled_step_is_the_unscaled_step(gx, data, gamma):
     g, _ = gx
     x = np.array(data.draw(st.lists(st.just(0.0) | st.floats(1e-100, 1e100), min_size=g.n, max_size=g.n)))
     assume(x.max() > 1.0)
-    scaled = _scaled(x)
+    scaled, _ = _scaled(x)
     y, _ = _products(g, scaled)
     assert scaled.max() < 1.0 and np.all((y == 0) | (y >= np.finfo(float).tiny))
     out, fallbacks = _step(g, *_products(g, x), gamma)
@@ -500,10 +497,36 @@ def test_energy_examples(k2_uniform):
     assert energy(k2_uniform, [1, 1], 1.0) == pytest.approx(0.0)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_energy_beyond_the_float_range_is_inf_silently():
-    # gamma * y'Ay overflows, as run_wrgn's traced energies may
-    assert energy(build_graph(2, [(0, 1)], [1e300, 1e300]), np.array([1.0, 1.0]), 1e300) == math.inf
+    # gamma * y'Ay overflows, as run_wrgn's traced energies may; and v*x
+    # overflows, which gave inf - inf, where the scaled state's does not
+    g = build_graph(2, [(0, 1)], [1e300, 1e300])
+    assert energy(g, np.array([1.0, 1.0]), 1e300) == math.inf
+    assert energy(g, [1e300, 1e300], 1.0) == math.inf
+
+
+def test_energy_of_a_state_above_one_is_its_unscaled_energy(p3_weighted):
+    # the power-of-two scaling is exact while the products stay normal
+    for x in ([3.0, 5.0, 1.0], [1e100, 0.0, 7.5], [2.0, 2.0, 2.0]):
+        y, ay = _products(p3_weighted, np.array(x))
+        assert energy(p3_weighted, x, 1.3) == float(0.5 * (y @ y + 1.3 * (y @ ay)) - p3_weighted.w @ x)
+
+
+def test_is_normalizable_beyond_the_float_range_is_silent():
+    # x + A@x overflows to inf, which is still positive
+    assert is_normalizable(build_graph(2, [(0, 1)], [1.0, 1.0]), np.array([1e308, 1e308]))
+
+
+def test_mass_and_simplex_state_beyond_the_float_range(p3_weighted):
+    # w*x overflows: the mass is inf, and the coordinates, which do not
+    # depend on the state's scale, are the scaled state's
+    g = build_graph(2, [(0, 1)], [10.0, 10.0])
+    assert weighted_mass(g, [1e308, 1e308]) == math.inf
+    np.testing.assert_array_equal(simplex_state(g, [1e308, 1e308]), [0.5, 0.5])
+    x = np.array([3.0, 5.0, 1.0])
+    np.testing.assert_array_equal(simplex_state(p3_weighted, x), simplex_state(p3_weighted, x / 8.0))
+    # a finite mass is the state's own: the scaling would flush this one to 0
+    np.testing.assert_array_equal(simplex_state(build_graph(1, [], [5e-324]), [2.0]), [1.0])
 
 
 def test_weighted_mass_examples(k2_heavy):
