@@ -137,7 +137,7 @@ def _products(g: WeightedGraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _energy(g: WeightedGraph, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamma: float, e: int = 0) -> float:
     """Energy of 2**e * x at gamma from x's products (y, ay): 2**e * (2**e * Q(x) - w.x), Q the quadratic part."""
     q = 0.5 * (y @ y + gamma * (y @ ay))
-    return float(np.ldexp(np.ldexp(q, e) - g.w @ x, e) if e else q - g.w @ x)
+    return float(np.ldexp(np.ldexp(q, e) - g.w @ x, e))
 
 
 def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -300,9 +300,13 @@ def energy(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
     In the weighted state y = v*x this is (1/2) y'(I + gamma A)y - v'y,
     the Lyapunov function the dynamics strictly decrease at fixed gamma.
     """
-    s, e = _scaled(_checked_state(g, x))  # v*s cannot overflow, where v*x may
-    with np.errstate(over="ignore"):  # an energy beyond the float range is inf
-        return _energy(g, s, *_products(g, s), _checked_gamma(gamma), e)
+    x, gamma = _checked_state(g, x), _checked_gamma(gamma)
+    with np.errstate(over="ignore", invalid="ignore"):  # an energy beyond the float range is inf
+        value = _energy(g, x, *_products(g, x), gamma)
+        if math.isnan(value):  # v*x overflowed, giving inf - inf: take it from x = 2**e * s instead
+            s, e = _scaled(x)
+            value = _energy(g, s, *_products(g, s), gamma, e)
+    return value
 
 
 def weighted_mass(g: WeightedGraph, x: np.ndarray) -> float:
@@ -314,9 +318,10 @@ def weighted_mass(g: WeightedGraph, x: np.ndarray) -> float:
 def simplex_state(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
     """Mass-normalized coordinates p_i = w_i x_i / sum_j w_j x_j."""
     x = _checked_state(g, x)
-    if weighted_mass(g, x) == math.inf:  # p does not depend on x's scale, and the scaled state's mass is finite
+    m = weighted_mass(g, x)
+    if m == math.inf:  # p does not depend on x's scale, and the scaled state's mass is finite
         x, _ = _scaled(x)
-    m = g.w @ x
+        m = g.w @ x
     if not m > 0.0:
         raise ValueError("weighted mass must be positive")
     return (g.w * x) / m

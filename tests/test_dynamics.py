@@ -506,10 +506,12 @@ def test_energy_beyond_the_float_range_is_inf_silently():
 
 
 def test_energy_of_a_state_above_one_is_its_unscaled_energy(p3_weighted):
-    # the power-of-two scaling is exact while the products stay normal
-    for x in ([3.0, 5.0, 1.0], [1e100, 0.0, 7.5], [2.0, 2.0, 2.0]):
-        y, ay = _products(p3_weighted, np.array(x))
-        assert energy(p3_weighted, x, 1.3) == float(0.5 * (y @ y + 1.3 * (y @ ay)) - p3_weighted.w @ x)
+    # the scaling is taken only where v*x overflows, so a state whose
+    # products are subnormal keeps them, which the scaling would flush
+    tiny = build_graph(1, [], [1e-310])
+    for g, x in [(p3_weighted, [3.0, 5.0, 1.0]), (p3_weighted, [1e100, 0.0, 7.5]), (p3_weighted, [2.0, 2.0, 2.0]), (tiny, [3.0])]:
+        y, ay = _products(g, np.array(x))
+        assert energy(g, x, 1.3) == float(0.5 * (y @ y + 1.3 * (y @ ay)) - g.w @ x)
 
 
 def test_is_normalizable_beyond_the_float_range_is_silent():
