@@ -97,10 +97,11 @@ class SolveTrace:
     energy[k] is the post-step state at gamma[k] and pre_energy[k] the
     pre-step state at the same gamma, so per-step descent is checkable
     even under a moving schedule.  Both are read from the products
-    y = v*x and A@y a step computes anyway: pre_energy[k] from step k's,
-    energy[k] from step k+1's, and the last energy from one extra
-    product, as is pre_energy[0] when run_wrgn takes the first step from
-    a scaled start.  Each equals energy() on its state, bit for bit.
+    y = v*x and K@y a step computes anyway, K the kernel: pre_energy[k]
+    from step k's, energy[k] from step k+1's, and the last energy from one
+    extra product.  pre_energy[0] is energy() on the start when run_wrgn
+    takes the first step from a scaled start.  Each energy equals energy()
+    on its state, and each mass weighted_mass(), bit for bit.
     """
 
     gamma: list[float] = field(default_factory=list)
@@ -134,10 +135,18 @@ def _products(g: WeightedGraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, g.adjacency() @ y
 
 
-def _energy(g: WeightedGraph, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamma: float, e: int = 0) -> float:
-    """Energy of 2**e * x at gamma from x's products (y, ay): 2**e * (2**e * Q(x) - w.x), Q the quadratic part."""
+def _energy(w: np.ndarray, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamma: float, e: int = 0) -> float:
+    """Energy of 2**e * x at gamma from x's products (y, ay), w in x's order: 2**e * (2**e * Q(x) - w.x), Q the quadratic part."""
     q = 0.5 * (y @ y + gamma * (y @ ay))
-    return float(np.ldexp(np.ldexp(q, e) - g.w @ x, e))
+    return float(np.ldexp(np.ldexp(q, e) - w @ x, e))
+
+
+def _kernel_energy(g: WeightedGraph, x: np.ndarray, gamma: float, e: int = 0) -> float:
+    """Energy of 2**e * x at gamma, its dot products summed in the kernel's order, as run_wrgn's are."""
+    order, kernel = g.kernel()
+    x = x[order]
+    y = g.v[order] * x
+    return _energy(g.w[order], x, y, kernel @ y, gamma, e)
 
 
 def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -216,20 +225,21 @@ def run_wrgn(
     The trace carries the energy/mass series only when record_trace is
     set; step norms and fallback counts are always kept.
 
-    An untraced run steps in the graph's kernel order (WeightedGraph.kernel):
-    it permutes the start once, and every elementwise operation and each
-    row's sum is the same as in vertex order, so the states are too.  A
-    traced run steps in vertex order, because its energies and masses are
-    dot products, whose sums depend on the order of their terms.
+    Every run steps in the graph's kernel order (WeightedGraph.kernel): it
+    permutes the start once, and every elementwise operation and each
+    row's sum is the same as in vertex order, so the states are too.  The
+    energies and masses are dot products, whose sums depend on the order
+    of their terms; energy() and weighted_mass() sum in the same order.
     """
-    x = _checked_state(g, x0, "start")
-    if np.any(x < 0.0):
+    start = _checked_state(g, x0, "start")
+    if np.any(start < 0.0):
         raise NormalizationError("state entries must be nonnegative")
-    if not is_normalizable(g, x):
+    if not is_normalizable(g, start):
         raise NormalizationError("initial state has a zero closed neighborhood sum")
 
-    order, kernel = (np.arange(g.n), g.adjacency()) if record_trace else g.kernel()
-    v, x = g.v[order], x[order]  # a copy: the start is never written
+    order, kernel = g.kernel()
+    v, x = g.v[order], start[order]  # a copy: the start is never written
+    w = g.w[order] if record_trace else None  # only the trace reads the weights
     first, _ = _scaled(x)  # the state the first step is taken from
     x_new, y = np.empty(g.n), np.empty(g.n)
     trace = SolveTrace()
@@ -244,9 +254,9 @@ def run_wrgn(
             if record_trace:
                 if k:
                     # this state is the previous step's post-step state
-                    trace.energy.append(_energy(g, x, y, ay, trace.gamma[-1]))
+                    trace.energy.append(_energy(w, x, y, ay, trace.gamma[-1]))
                 # the energy, unlike the map, depends on the start's scale
-                trace.pre_energy.append(_energy(g, x, y, ay, gamma) if k or first is x else energy(g, x, gamma))
+                trace.pre_energy.append(_energy(w, x, y, ay, gamma) if k or first is x else energy(g, start, gamma))
             _, nfb = _step(g, y, ay, gamma, x_new)
             delta = np.abs(np.subtract(x_new, x, out=y), out=y)  # y is spent
             step_inf = float(delta.max(initial=0.0))
@@ -257,11 +267,12 @@ def run_wrgn(
             if not math.isfinite(step_inf):  # x was finite, so x_new is not
                 raise NormalizationError(f"non-finite state at iteration {k}")
             if record_trace:
-                trace.mass.append(float(g.w @ x))
+                trace.mass.append(float(w @ x))
             if early_exit and gamma == final_gamma and step_inf < 1e-12:
                 break
         if record_trace:
-            trace.energy.append(energy(g, x, trace.gamma[-1]))
+            np.multiply(v, x, out=y)
+            trace.energy.append(_energy(w, x, y, kernel @ y, trace.gamma[-1]))
     final = np.empty(g.n)
     final[order] = x
     return final, trace
@@ -299,20 +310,23 @@ def energy(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
 
     In the weighted state y = v*x this is (1/2) y'(I + gamma A)y - v'y,
     the Lyapunov function the dynamics strictly decrease at fixed gamma.
+    Its dot products sum in the kernel's order, as run_wrgn's traced
+    energies do.
     """
     x, gamma = _checked_state(g, x), _checked_gamma(gamma)
     with np.errstate(over="ignore", invalid="ignore"):  # an energy beyond the float range is inf
-        value = _energy(g, x, *_products(g, x), gamma)
+        value = _kernel_energy(g, x, gamma)
         if math.isnan(value):  # v*x overflowed, giving inf - inf: take it from x = 2**e * s instead
             s, e = _scaled(x)
-            value = _energy(g, s, *_products(g, s), gamma, e)
+            value = _kernel_energy(g, s, gamma, e)
     return value
 
 
 def weighted_mass(g: WeightedGraph, x: np.ndarray) -> float:
-    """Relaxed objective sum(w_i x_i), inf beyond the float range; strictly increases along trajectories."""
+    """Relaxed objective sum(w_i x_i), summed in kernel order, inf beyond the float range; strictly increases along trajectories."""
+    order, _ = g.kernel()
     with np.errstate(over="ignore"):
-        return float(g.w @ _checked_state(g, x))
+        return float(g.w[order] @ _checked_state(g, x)[order])
 
 
 def simplex_state(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
@@ -321,7 +335,7 @@ def simplex_state(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
     m = weighted_mass(g, x)
     if m == math.inf:  # p does not depend on x's scale, and the scaled state's mass is finite
         x, _ = _scaled(x)
-        m = g.w @ x
+        m = weighted_mass(g, x)
     if not m > 0.0:
         raise ValueError("weighted mass must be positive")
     return (g.w * x) / m

@@ -9,9 +9,10 @@ are cached because the dynamics use them on every step.  scipy is imported
 by the first graph built, so code that builds none (the atomic census)
 never loads it.  The graph is read through that store (neighbour lists,
 degrees, the adjacency matrix).  Beside it sits one more index over the
-same values: the kernel, the adjacency with its rows grouped by degree,
-which the dynamics step in.  Edge endpoints and member indices pass one
-rule: integers, judged by value; member_mask makes members a checked mask.
+same values: the kernel, the adjacency with its rows grouped by degree.
+Every run_wrgn step reads it, and energy and weighted_mass sum their dot
+products in its order.  Edge endpoints and member indices pass one rule:
+integers, judged by value; member_mask makes members a checked mask.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
 import re
 import runpy
@@ -40,32 +41,24 @@ OVERFLOW_FLAGS = ["--gamma0", "1e300", "--gamma1", "1e300", "--starts", "1", "--
 TRACE_FLAGS = SPARSE_FLAGS = ["--starts", "2", "--iterations", "100"]
 
 
-def _instance_text(g) -> str:
-    lines = [f"p mwis {g.n} {g.num_edges}"]
-    lines += [f"n {i + 1} {w!r}" for i, w in enumerate(g.w.tolist())]
-    lines += [f"e {u + 1} {v + 1}" for u in range(g.n) for v in g.neighbors(u).tolist() if u < v]
-    return "\n".join(lines) + "\n"
-
-
-def _er(n: int, p: float, seed: int) -> str:
-    from graphnorm import erdos_renyi
-
-    return _instance_text(erdos_renyi(n, p, seed))
-
-
-def _cycle8() -> str:
-    from graphnorm import build_graph
-
-    return _instance_text(build_graph(8, [(i, (i + 1) % 8) for i in range(8)], [1.0] * 8))
+def _import(directory: Path, name: str):
+    sys.path.insert(0, str(directory))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(directory))
 
 
 def _inputs(d: Path) -> None:
     """The small inputs every case may name."""
+    from graphnorm import build_graph, erdos_renyi
+
+    write = _import(HERE.parent, "reference").write_instance
     (d / "k2.mwis").write_text(K2)
-    (d / "er40.mwis").write_text(_er(40, 0.3, 2))
+    (d / "er40.mwis").write_text(write(erdos_renyi(40, 0.3, 2)))
     (d / "overflow.mwis").write_text(OVERFLOW)
-    (d / "er12.mwis").write_text(_er(12, 0.3, 1))
-    (d / "c8.mwis").write_text(_cycle8())
+    (d / "er12.mwis").write_text(write(erdos_renyi(12, 0.3, 1)))
+    (d / "c8.mwis").write_text(write(build_graph(8, [(i, (i + 1) % 8) for i in range(8)], [1.0] * 8)))
     (d / "refs.csv").write_text("k2,4\ner40,62\n")
     (d / "bench").mkdir()
     for name in ("k2.mwis", "er40.mwis"):
@@ -74,12 +67,7 @@ def _inputs(d: Path) -> None:
 
 def _sparse_inputs(d: Path) -> None:
     """perfbench's sparse-1e5 instance at seed 1, with its greedy reference as sparse.csv."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-    session = workloads.make_sparse(1, dict(n=100_000, m=500_000, starts=2, iterations=100), d)
+    session = _import(ROOT / "perfbench", "workloads").make_sparse(1, dict(n=100_000, m=500_000, starts=2, iterations=100), d)
     session.instances[0].path.rename(d / "sparse.mwis")
     session.reference_csv.write_text(session.reference_csv.read_text().replace("sparse-n100000", "sparse"))
     session.reference_csv.rename(d / "sparse.csv")

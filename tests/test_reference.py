@@ -22,7 +22,7 @@ from graphnorm import (
     round_to_mis,
     run_wrgn,
 )
-from graphnorm.dynamics import mis_stability
+from graphnorm.dynamics import energy, mis_stability, weighted_mass
 from graphnorm.enumeration import (
     SpectrumKind,
     _dominated,
@@ -219,6 +219,22 @@ def test_run_wrgn_matches_reference_in_degree_order(make, identity, record_trace
     assert got == _trajectory(reference.run_wrgn, *args)
 
 
+@pytest.mark.parametrize("make", [_star_and_path, _sparse_with_duplicates])
+def test_energy_and_mass_in_kernel_order_differ_from_vertex_order_by_rounding(make):
+    # energy() and weighted_mass() sum their dot products in the kernel's
+    # order, far from vertex order on these graphs; the terms are the same
+    g = make()
+    assert not np.array_equal(g.kernel()[0], np.arange(g.n))
+    rng = np.random.default_rng(5)
+    for gamma in (0.5, 1.0, 1.5):
+        for _ in range(10):
+            x = rng.random(g.n)
+            y, mass = g.v * x, g.w @ x
+            in_vertex_order = 0.5 * (y @ y + gamma * (y @ (g.adjacency() @ y))) - g.w @ x
+            assert abs(energy(g, x, gamma) - in_vertex_order) <= 1e-13 * mass
+            assert abs(weighted_mass(g, x) - mass) <= 1e-14 * mass
+
+
 @pytest.mark.parametrize(
     "x0,want",
     [
@@ -377,7 +393,6 @@ def test_parse_instance_odd_line_matches_reference(line, replaced):
     "line, meaning",
     [
         ("e 0000000000000000001 2", "e 1 2"),  # 19 digits
-        ("e +1 2", "e 1 2"),
         ("e 1_0 2", "e 10 2"),
         ("e \uff11 2", "e 1 2"),  # fullwidth digit
         ("e 1\u00a02", "e 1 2"),  # no-break space
@@ -395,6 +410,25 @@ def test_parse_instance_byte_reader_falls_back(line, meaning):
     text, same = head + line, head + meaning
     assert graphnorm.io._read_bytes(text) is None
     assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, same)
+
+
+@pytest.mark.parametrize(
+    "old, new, byte_read",
+    [
+        ("e 1 2", "e +1 2", True),
+        ("e 1 2", "e 1 +2", True),
+        ("n 3 3", "n +3 3", True),
+        ("e 1 2", "e +000000000000000001 2", True),  # 18 digits after the sign
+        ("e 1 2", "e +0000000000000000001 2", False),  # 19
+        ("e 1 2", "e + 2", False),  # a sign alone
+        ("e 1 2", "e ++1 2", False),
+    ],
+)
+def test_parse_instance_byte_reader_reads_plus_signed_ids(old, new, byte_read):
+    # one leading "+" on an id, as int() takes it; any other sign goes to the line reader
+    text = ("p mwis 10 1\n" + "".join(f"n {i} {i}\n" for i in range(10, 0, -1)) + "e 1 2\n").replace(old, new)
+    assert (graphnorm.io._read_bytes(text) is not None) == byte_read
+    assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, text)
 
 
 def test_parse_instance_byte_reader_skips_comments_anywhere():
