@@ -136,7 +136,10 @@ def _products(g: WeightedGraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _energy(w: np.ndarray, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamma: float, e: int = 0) -> float:
-    """Energy of 2**e * x at gamma from x's products (y, ay), w in x's order: 2**e * (2**e * Q(x) - w.x), Q the quadratic part."""
+    """Energy 2**e * (2**e * Q - w.x) of 2**e * x at gamma, Q the quadratic part from x's products (y, ay).
+
+    w holds the weights in x's order.
+    """
     q = 0.5 * (y @ y + gamma * (y @ ay))
     return float(np.ldexp(np.ldexp(q, e) - w @ x, e))
 
@@ -323,7 +326,7 @@ def energy(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
 
 
 def weighted_mass(g: WeightedGraph, x: np.ndarray) -> float:
-    """Relaxed objective sum(w_i x_i), summed in kernel order, inf beyond the float range; strictly increases along trajectories."""
+    """Relaxed objective sum(w_i x_i) in kernel order, inf past the float range; strictly rises along trajectories."""
     order, _ = g.kernel()
     with np.errstate(over="ignore"):
         return float(g.w[order] @ _checked_state(g, x)[order])

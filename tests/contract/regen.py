@@ -67,7 +67,8 @@ def _inputs(d: Path) -> None:
 
 def _sparse_inputs(d: Path) -> None:
     """perfbench's sparse-1e5 instance at seed 1, with its greedy reference as sparse.csv."""
-    session = _import(ROOT / "perfbench", "workloads").make_sparse(1, dict(n=100_000, m=500_000, starts=2, iterations=100), d)
+    sizes = dict(n=100_000, m=500_000, starts=2, iterations=100)
+    session = _import(ROOT / "perfbench", "workloads").make_sparse(1, sizes, d)
     session.instances[0].path.rename(d / "sparse.mwis")
     session.reference_csv.write_text(session.reference_csv.read_text().replace("sparse-n100000", "sparse"))
     session.reference_csv.rename(d / "sparse.csv")

@@ -230,7 +230,7 @@ def test_energy_and_mass_in_kernel_order_differ_from_vertex_order_by_rounding(ma
         for _ in range(10):
             x = rng.random(g.n)
             y, mass = g.v * x, g.w @ x
-            in_vertex_order = 0.5 * (y @ y + gamma * (y @ (g.adjacency() @ y))) - g.w @ x
+            in_vertex_order = 0.5 * (y @ y + gamma * (y @ (g.adjacency() @ y))) - mass
             assert abs(energy(g, x, gamma) - in_vertex_order) <= 1e-13 * mass
             assert abs(weighted_mass(g, x) - mass) <= 1e-14 * mass
 
