@@ -136,10 +136,7 @@ def _products(g: WeightedGraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _energy(w: np.ndarray, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamma: float, e: int = 0) -> float:
-    """Energy 2**e * (2**e * Q - w.x) of 2**e * x at gamma, Q the quadratic part from x's products (y, ay).
-
-    w holds the weights in x's order.
-    """
+    """2**e * (2**e * Q - w.x), the energy of 2**e * x at gamma: Q from x's products (y, ay), w in x's order."""
     q = 0.5 * (y @ y + gamma * (y @ ay))
     return float(np.ldexp(np.ldexp(q, e) - w @ x, e))
 

@@ -29,6 +29,9 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+from graphnorm import build_graph, erdos_renyi
+from graphnorm.cli import main
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
 EXPECTED = HERE / "expected"
@@ -51,8 +54,6 @@ def _import(directory: Path, name: str):
 
 def _inputs(d: Path) -> None:
     """The small inputs every case may name."""
-    from graphnorm import build_graph, erdos_renyi
-
     write = _import(HERE.parent, "reference").write_instance
     (d / "k2.mwis").write_text(K2)
     (d / "er40.mwis").write_text(write(erdos_renyi(40, 0.3, 2)))
@@ -105,8 +106,6 @@ def _blank(text: str, d: Path) -> str:
 
 def run_case(name: str, d: Path) -> dict[str, str]:
     """{file name: text} of case name run in the empty directory d: exit_code, stdout, stderr, out/..."""
-    from graphnorm.cli import main
-
     (d / "in").mkdir()
     (d / "out").mkdir()
     (_sparse_inputs if name in HASHED else _inputs)(d / "in")
