@@ -69,10 +69,10 @@ def _inputs(d: Path) -> None:
 def _sparse_inputs(d: Path) -> None:
     """perfbench's sparse-1e5 instance at seed 1, with its greedy reference as sparse.csv."""
     sizes = dict(n=100_000, m=500_000, starts=2, iterations=100)
-    session = _import(ROOT / "perfbench", "workloads").make_sparse(1, sizes, d)
-    session.instances[0].path.rename(d / "sparse.mwis")
-    session.reference_csv.write_text(session.reference_csv.read_text().replace("sparse-n100000", "sparse"))
-    session.reference_csv.rename(d / "sparse.csv")
+    made = _import(ROOT / "perfbench", "workloads").make_sparse(1, sizes, d)
+    made.instances[0].path.rename(d / "sparse.mwis")
+    made.reference_csv.write_text(made.reference_csv.read_text().replace("sparse-n100000", "sparse"))
+    made.reference_csv.rename(d / "sparse.csv")
 
 
 def _solve(instance: str, *flags: str) -> list[str]:
@@ -134,8 +134,8 @@ def read_expected(name: str) -> dict[str, str]:
     return {p.relative_to(root).as_posix(): p.read_text() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def regenerate(name: str, scratch: Path) -> None:
-    texts = run_case(name, scratch)
+def regenerate(name: str, workdir: Path) -> None:
+    texts = run_case(name, workdir)
     root = EXPECTED / name
     shutil.rmtree(root, ignore_errors=True)
     for key, text in texts.items():
@@ -147,6 +147,6 @@ if __name__ == "__main__":
     import tempfile
 
     for case in sys.argv[1:] or CASES:
-        with tempfile.TemporaryDirectory() as scratch:
-            regenerate(case, Path(scratch))
+        with tempfile.TemporaryDirectory() as workdir:
+            regenerate(case, Path(workdir))
         print(f"wrote {EXPECTED.relative_to(ROOT) / case}")
