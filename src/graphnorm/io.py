@@ -73,8 +73,7 @@ def parse_instance(text: str) -> WeightedGraph:
     CR LF, of which: any number are blank or comments, the first other
     line is "p mwis <n> <m>", and every later one is "n <id> <weight>" or
     "e <u> <v>" in printable ASCII, tokens split by spaces and tabs, ids
-    of an optional "+" and 1 to 18 ASCII digits, counts of 1 to 18 ASCII
-    digits, weights as float() reads them.
+    and counts of 1 to 18 ASCII digits, weights as float() reads them.
     Comments may hold any text without U+0085, U+2028, U+2029 or a
     control character other than tab.  It checks the grammar, the counts
     and the ids; build_graph judges edges and weights.  All other text,
@@ -182,11 +181,8 @@ def _read_chunk(chunk: bytes):
 
 
 def _integers(b: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Values of the tokens b[starts:ends] if each is an optional "+" and 1 to 18 ASCII digits, else None."""
-    starts = starts + (b[starts] == ord("+"))
+    """Values of the tokens b[starts:ends] if each is 1 to 18 ASCII digits, else None."""
     size = ends - starts
-    if not size.all():  # a "+" alone
-        return None
     values = np.zeros(size.size, dtype=np.int64)
     for k in range(size.max(initial=0)):
         live = size > k

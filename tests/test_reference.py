@@ -393,6 +393,7 @@ def test_parse_instance_odd_line_matches_reference(line, replaced):
     "line, meaning",
     [
         ("e 0000000000000000001 2", "e 1 2"),  # 19 digits
+        ("e +1 2", "e 1 2"),
         ("e 1_0 2", "e 10 2"),
         ("e \uff11 2", "e 1 2"),  # fullwidth digit
         ("e 1\u00a02", "e 1 2"),  # no-break space
@@ -410,25 +411,6 @@ def test_parse_instance_byte_reader_falls_back(line, meaning):
     text, same = head + line, head + meaning
     assert graphnorm.io._read_bytes(text) is None
     assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, same)
-
-
-@pytest.mark.parametrize(
-    "old, new, byte_read",
-    [
-        ("e 1 2", "e +1 2", True),
-        ("e 1 2", "e 1 +2", True),
-        ("n 3 3", "n +3 3", True),
-        ("e 1 2", "e +000000000000000001 2", True),  # 18 digits after the sign
-        ("e 1 2", "e +0000000000000000001 2", False),  # 19
-        ("e 1 2", "e + 2", False),  # a sign alone
-        ("e 1 2", "e ++1 2", False),
-    ],
-)
-def test_parse_instance_byte_reader_reads_plus_signed_ids(old, new, byte_read):
-    # one leading "+" on an id, as int() takes it; any other sign goes to the line reader
-    text = ("p mwis 10 1\n" + "".join(f"n {i} {i}\n" for i in range(10, 0, -1)) + "e 1 2\n").replace(old, new)
-    assert (graphnorm.io._read_bytes(text) is not None) == byte_read
-    assert _outcome(parse_instance, text) == _outcome(reference.parse_instance, text)
 
 
 def test_parse_instance_byte_reader_skips_comments_anywhere():
