@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import MisSolution, WeightedGraph, greedy_complete, independence, member_mask
+from .graph import MisSolution, WeightedGraph, greedy_complete, independence, member_mask, neighbor_sums
 
 # Value taken where a closed-neighbourhood sum is exactly 0, outside the
 # map's domain; from a normalizable start only underflow gets there.
@@ -132,7 +132,7 @@ def _checked_state(g: WeightedGraph, x, name: str = "state") -> np.ndarray:
 def _products(g: WeightedGraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weighted state y = v*x and its neighbour sums A@y."""
     y = g.v * x
-    return y, g.adjacency() @ y
+    return y, neighbor_sums(g, y)
 
 
 def _energy(w: np.ndarray, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamma: float, e: int = 0) -> float:
@@ -200,7 +200,7 @@ def is_normalizable(g: WeightedGraph, x: np.ndarray) -> bool:
     """All closed neighborhood sums positive (the domain of the map)."""
     x = _checked_state(g, x)
     with np.errstate(over="ignore"):  # a sum beyond the float range is inf, still positive
-        closed = x + g.adjacency() @ x
+        closed = x + neighbor_sums(g, x)
     return bool(np.all(closed > 0.0))
 
 
@@ -353,7 +353,7 @@ def fitness(
     gamma = _checked_gamma(gamma)
     p = _checked_state(g, p, "simplex state")
     q = p / g.v
-    d = q + gamma * (g.adjacency() @ q)
+    d = q + gamma * neighbor_sums(g, q)
     if np.any(d <= 0.0):
         raise ValueError("zero denominator in fitness: state not normalizable")
     f = g.v / d
@@ -376,7 +376,7 @@ def round_to_mis(g: WeightedGraph, x: np.ndarray) -> MisSolution:
     x = _checked_state(g, x)
     selected = x >= 0.5
     w = g.w
-    for u in np.flatnonzero(selected & (g.adjacency() @ selected > 0)).tolist():
+    for u in np.flatnonzero(selected & (neighbor_sums(g, selected) > 0)).tolist():
         if not selected[u]:
             continue
         nb = g.neighbors(u)
@@ -407,11 +407,12 @@ def mis_stability(g: WeightedGraph, m: MisSolution, gamma: float) -> float:
     mask = member_mask(g, m.members)
     if not independence(g, mask)[1]:
         raise ValueError("solution is not a maximal independent set")
-    # one pass over the CSR entries (i, j) with i outside and j a member;
-    # bincount adds each row's terms in neighbour order
-    rows = np.repeat(np.arange(g.n), g.degrees())
-    keep = ~mask[rows] & mask[g.indices]
-    i, j = rows[keep], g.indices[keep]
+    # one pass over the kernel's entries (i, j) with i outside and j a member;
+    # a kernel row is i's list in A's order, so bincount adds it in that order
+    order, kernel = g.kernel()
+    i, j = np.repeat(order, np.diff(kernel.indptr)), order[kernel.indices]
+    keep = ~mask[i] & mask[j]
+    i, j = i[keep], j[keep]
     sums = np.bincount(i, weights=np.sqrt(g.w[j] / g.w[i]), minlength=g.n)
     outside = sums[~mask]
     return gamma * float(outside.min()) if outside.size else math.inf

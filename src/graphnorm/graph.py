@@ -1,18 +1,18 @@
 """Immutable weighted-graph representation, graph construction, and independent-set checks.
 
 Graphs are simple, undirected, with strictly positive vertex weights.
-The adjacency has one store: a scipy CSR matrix of ones whose row
-neighbor lists are sorted ascending.  Its index arrays are int32
-whenever the graph fits, as scipy would choose, and ``indptr``/``indices`` are
-those same arrays, read-only, not copies.  The square roots of the weights
-are cached because the dynamics use them on every step.  scipy is imported
-by the first graph built, so code that builds none (the atomic census)
-never loads it.  The graph is read through that store (neighbour lists,
-degrees, the adjacency matrix).  Beside it sits one more index over the
-same values: the kernel, the adjacency with its rows grouped by degree.
-Every run_wrgn step reads it, and energy and weighted_mass sum their dot
-products in its order.  Edge endpoints and member indices pass one rule:
-integers, judged by value; member_mask makes members a checked mask.
+The adjacency has one store, the kernel: a scipy CSR matrix of ones,
+the adjacency renumbered by a stable sort of the vertices by degree.
+Its index arrays are int32 whenever the graph fits, as scipy would
+choose.  Every run_wrgn step reads it, energy and weighted_mass sum in
+its order, and every other neighbour query reads it through rank, the
+inverse of its order: neighbor_sums for A @ z, neighbors for one list.
+adjacency() rebuilds the vertex-order matrix from it on request.  The
+square roots of the weights are cached because the dynamics use them on
+every step.  scipy is imported by the first graph built, so code that
+builds none (the atomic census) never loads it.  Edge endpoints and
+member indices pass one rule: integers, judged by value; member_mask
+makes members a checked mask.
 """
 
 from __future__ import annotations
@@ -35,50 +35,54 @@ class WeightedGraph:
 
     Attributes:
         n: vertex count.
-        indptr, indices: CSR neighbor lists, each list sorted ascending;
-            the adjacency matrix's own arrays.
         w: float64 weight per vertex, strictly positive and finite.
         v: cached sqrt(w).
 
-    Instances are immutable after construction (arrays are write-protected)
-    and safe for unrestricted concurrent reads.
+    The neighbour lists are held once, in kernel().  Instances are immutable
+    after construction (arrays are write-protected) and safe for
+    unrestricted concurrent reads.
     """
 
-    __slots__ = ("n", "indptr", "indices", "w", "v", "_adj", "_order", "_kernel")
+    __slots__ = ("n", "w", "v", "_order", "_rank", "_kernel")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, w: np.ndarray):
+        """A graph from CSR neighbour lists, each sorted ascending; the graph keeps none of their arrays."""
         import scipy.sparse as sp
 
         self.n = int(n)
-        shape = (self.n, self.n)
+        degrees = np.diff(indptr)
+        # a stable sort of 16-bit keys is a radix sort: 0.7 ms at n = 10^5, against 5 ms
+        key = degrees.astype(np.uint16) if degrees.max(initial=0) < 1 << 16 else degrees
+        self._order = np.argsort(key, kind="stable").astype(indptr.dtype)
+        self._rank = np.empty_like(self._order)
+        self._rank[self._order] = np.arange(self.n, dtype=self._order.dtype)
         # the kernel's index first, so that its transients come before the values
-        self._order, kernel_ptr, kernel_indices = _degree_ordered(indptr, indices)
-        data = np.ones(len(indices), dtype=np.float64)
-        self._adj = sp.csr_matrix((data, indices, indptr), shape=shape)
-        self._kernel = sp.csr_matrix((data, kernel_indices, kernel_ptr), shape=shape)
-        self.indptr = self._adj.indptr
-        self.indices = self._adj.indices
+        kernel_ptr, kernel_indices = _permuted(indptr, indices, self._order, self._rank)
+        k = self._kernel = sp.csr_matrix((np.ones(len(indices)), kernel_indices, kernel_ptr), shape=(self.n, self.n))
         self.w = w
         self.v = np.sqrt(w)
-        for a in (self.w, self.v, self._order):
+        for a in (self.w, self.v, self._order, self._rank, k.data, k.indptr, k.indices):
             a.setflags(write=False)
-        for m in (self._adj, self._kernel):
-            for a in (m.data, m.indptr, m.indices):
-                a.setflags(write=False)
 
     @property
     def num_edges(self) -> int:
-        return len(self.indices) // 2
+        return len(self._kernel.indices) // 2
 
     def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        """Vertex i's neighbours, ascending: the kernel's row rank[i], mapped through order."""
+        k, a = self._kernel, self._rank[i]
+        return self._order[k.indices[k.indptr[a] : k.indptr[a + 1]]]
 
     def adjacency(self) -> sp.csr_matrix:
-        """Sparse 0/1 adjacency matrix (shared, read-only)."""
-        return self._adj
+        """Sparse 0/1 adjacency matrix in vertex order, rebuilt from the kernel on each call.
+
+        Its values array is the kernel's, read-only; its index arrays are
+        new.  About 10 ms at n = 10^5: no program path calls it per step.
+        """
+        import scipy.sparse as sp
+
+        ptr, indices = _permuted(self._kernel.indptr, self._kernel.indices, self._rank, self._order)
+        return sp.csr_matrix((self._kernel.data, indices, ptr), shape=(self.n, self.n))
 
     def kernel(self) -> tuple[np.ndarray, sp.csr_matrix]:
         """(order, K): the vertices grouped by degree, and the adjacency renumbered into that order.
@@ -87,7 +91,8 @@ class WeightedGraph:
         A's entries in A's own order, so (K @ y[order])[a] adds the same
         terms in the same order as (A @ y)[order[a]]: the two agree bit for
         bit.  Rows of equal length run back to back in K, which makes its
-        product faster than A's.  Shared and read-only, like the adjacency.
+        product faster than A's.  The graph's one adjacency store, shared
+        and read-only.
         """
         return self._order, self._kernel
 
@@ -95,28 +100,28 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.num_edges})"
 
 
-def _degree_ordered(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(order, indptr, indices) of the CSR lists renumbered into degree order.
+def _permuted(indptr: np.ndarray, indices: np.ndarray, order: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(indptr, indices) of CSR lists renumbered by a permutation: row a is row order[a], column c becomes rank[c].
 
-    order is the vertex order a stable sort by degree gives; the arrays
-    have the lists' dtype.
+    rank is order's inverse; each row keeps its entries' order, in the
+    lists' dtype.  Swapping order and rank maps the kernel back to A.
     """
-    degrees = np.diff(indptr)
-    # a stable sort of 16-bit keys is a radix sort: 0.7 ms at n = 10^5, against 5 ms
-    key = degrees.astype(np.uint16) if degrees.max(initial=0) < 1 << 16 else degrees
-    order = np.argsort(key, kind="stable").astype(indptr.dtype)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size, dtype=order.dtype)
-    kernel_degrees = degrees[order]
-    kernel_ptr = np.zeros_like(indptr)
-    np.cumsum(kernel_degrees, out=kernel_ptr[1:])
-    # entry k of the kernel is entry k + indptr[order[a]] - kernel_ptr[a] of
-    # the lists, where a is its row; fancy indexing, as np.take copies int32 indices
-    at = np.repeat(indptr[order] - kernel_ptr[:-1], kernel_degrees)
+    degrees = np.diff(indptr)[order]
+    ptr = np.zeros_like(indptr)
+    np.cumsum(degrees, out=ptr[1:])
+    # entry k of the result is entry k + indptr[order[a]] - ptr[a] of the
+    # lists, where a is its row; fancy indexing, as np.take copies int32 indices
+    at = np.repeat(indptr[order] - ptr[:-1], degrees)
     at += np.arange(at.size, dtype=at.dtype)
     columns = indices[at]
     del at
-    return order, kernel_ptr, rank[columns]
+    return ptr, rank[columns]
+
+
+def neighbor_sums(g: WeightedGraph, z: np.ndarray) -> np.ndarray:
+    """A @ z, bit for bit, from the kernel: (K @ z[order])[rank], each row's terms added in A's order."""
+    order, kernel = g.kernel()
+    return (kernel @ z[order])[g._rank]
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -238,7 +243,7 @@ def independence(g: WeightedGraph, mask: np.ndarray) -> tuple[bool, bool]:
     A member with a member neighbour breaks independence; a non-member
     with none is undominated and breaks maximality.
     """
-    dominated = (g.adjacency() @ mask) > 0
+    dominated = neighbor_sums(g, mask) > 0
     independent = not np.any(dominated[mask])
     return independent, independent and bool(np.all(mask | dominated))
 
@@ -250,7 +255,7 @@ def greedy_complete(g: WeightedGraph, selected: np.ndarray) -> None:
     ties to the smaller index, and selects each that still has no
     selected neighbour.
     """
-    free = np.flatnonzero(~selected & ~(g.adjacency() @ selected > 0))
+    free = np.flatnonzero(~selected & ~(neighbor_sums(g, selected) > 0))
     for i in free[np.lexsort((free, -g.w[free]))].tolist():
         if not selected[g.neighbors(i)].any():
             selected[i] = True

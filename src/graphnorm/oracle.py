@@ -31,8 +31,7 @@ def _neighbor_masks(g: WeightedGraph, order: Sequence[int]) -> list[int]:
     """Neighbourhood bitmasks in a vertex order: mask p is order[p]'s, bit q stands for order[q]."""
     pos = np.empty(g.n, dtype=np.int64)
     pos[order] = np.arange(g.n)
-    bits, ptr = pos[g.indices].tolist(), g.indptr.tolist()
-    return [sum(1 << q for q in bits[ptr[i] : ptr[i + 1]]) for i in order]
+    return [sum(1 << q for q in pos[g.neighbors(i)].tolist()) for i in order]
 
 
 def _mask_members(mask: int) -> np.ndarray:

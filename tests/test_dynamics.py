@@ -445,7 +445,7 @@ def test_run_wrgn_adjacency_products(schedule, early_exit):
     # one product per step plus the start's domain check; a traced run adds
     # one for the last post-step energy
     base = erdos_renyi(20, 0.3, [11, 0])
-    g = CountingGraph(base.n, base.indptr, base.indices, base.w)
+    g = CountingGraph(base.n, base.adjacency().indptr, base.adjacency().indices, base.w)
     for record_trace, extra in [(False, 1), (True, 2)]:
         g.products = 0
         _, trace = run_wrgn(g, init_random(20, 42), schedule, record_trace, early_exit)

@@ -64,7 +64,7 @@ def test_edges_must_be_pairs():
     # endpoints are read by value: uint64 ones are accepted, and one beyond
     # int64, or beside one that is, is outside the range and named
     uint = build_graph(3, np.array([[0, 1], [2, 1]], dtype=np.uint64), [1, 1, 1])
-    assert uint.indices.tolist() == build_graph(3, [(0, 1), (2, 1)], [1, 1, 1]).indices.tolist()
+    assert uint.adjacency().indices.tolist() == build_graph(3, [(0, 1), (2, 1)], [1, 1, 1]).adjacency().indices.tolist()
     for edge in ((-1, 2**63), (0, 99999999999999999999999), (0, 10**30)):
         with pytest.raises(GraphError, match=rf"edge \({edge[0]},{edge[1]}\) has an endpoint outside \[0,3\)"):
             build_graph(3, [edge], [1, 1, 1])
@@ -169,18 +169,25 @@ def test_maximal_implies_independent(parts):
 def test_erdos_renyi_deterministic():
     g1 = erdos_renyi(12, 0.3, [5, 1])
     g2 = erdos_renyi(12, 0.3, [5, 1])
-    assert np.array_equal(g1.indices, g2.indices)
+    assert np.array_equal(g1.adjacency().indices, g2.adjacency().indices)
     np.testing.assert_array_equal(g1.w, g2.w)
     assert np.all(g1.w >= 0.1) and np.all(g1.w <= 10.0)
 
 
-def test_single_csr_store():
+def test_one_adjacency_store():
+    # the kernel is the graph's only index of length 2m, and the
+    # vertex-order matrix is rebuilt from it, sharing its values
     g = erdos_renyi(30, 0.3, 4)
+    _, kernel = g.kernel()
+    held = [getattr(g, name) for name in type(g).__slots__]
+    assert [type(a).__name__ for a in held if not isinstance(a, (int, np.ndarray))] == ["csr_matrix"]
+    arrays = [a for a in held if isinstance(a, np.ndarray)] + [kernel.data, kernel.indptr, kernel.indices]
+    assert not any(a.flags.writeable for a in arrays)
+    long_indices = [a for a in arrays if a.dtype.kind in "iu" and a.size == 2 * g.num_edges]
+    assert len(long_indices) == 1 and long_indices[0] is kernel.indices
     adj = g.adjacency()
-    assert g.indptr is adj.indptr and g.indices is adj.indices
-    assert g.indices.dtype == np.int32 and g.indptr.dtype == np.int32
-    for a in (g.indptr, g.indices, adj.data):
-        assert not a.flags.writeable
+    assert adj.indices.dtype == np.int32 and adj.indptr.dtype == np.int32
+    assert np.shares_memory(adj.data, kernel.data)
 
 
 def test_build_graph_copies_the_weights():

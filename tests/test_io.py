@@ -87,7 +87,7 @@ def test_instance_roundtrip():
     g = erdos_renyi(9, 0.35, [77, 0])
     g2 = parse_instance(write_instance(g, comment="roundtrip"))
     assert g2.n == g.n
-    np.testing.assert_array_equal(g2.indices, g.indices)
+    np.testing.assert_array_equal(g2.adjacency().indices, g.adjacency().indices)
     np.testing.assert_array_equal(g2.w, g.w)
 
 

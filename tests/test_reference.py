@@ -32,6 +32,7 @@ from graphnorm.enumeration import (
     canonical_form,
     connected_graphs_upto,
 )
+from graphnorm.graph import neighbor_sums
 from graphnorm.io import (
     FormatError,
     graph6_adjacency,
@@ -72,8 +73,8 @@ def test_build_graph_matches_reference(parts, as_array):
     w = np.arange(1.0, n + 1.0)
     g = build_graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges, w)
     indptr, indices = reference.csr_lists(n, edges)
-    np.testing.assert_array_equal(g.indptr, indptr)
-    np.testing.assert_array_equal(g.indices, indices)
+    np.testing.assert_array_equal(g.adjacency().indptr, indptr)
+    np.testing.assert_array_equal(g.adjacency().indices, indices)
     np.testing.assert_array_equal(g.w, w)
 
 
@@ -235,6 +236,46 @@ def test_energy_and_mass_in_kernel_order_differ_from_vertex_order_by_rounding(ma
             assert abs(weighted_mass(g, x) - mass) <= 1e-14 * mass
 
 
+def _built(make):
+    """make()'s graph and the (n, edges) it was built from."""
+    calls = []
+
+    def record(n, edges, weights, build=build_graph):
+        calls.append((n, edges))
+        return build(n, edges, weights)
+
+    with mock.patch(f"{__name__}.build_graph", record):
+        g = make()
+    return g, calls[0]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _star_and_path,
+        _sparse_with_duplicates,
+        lambda: build_graph(5, [], np.ones(5)),
+        lambda: build_graph(1, [], [2.0]),
+        lambda: build_graph(0, [], []),
+    ],
+    ids=["star-and-path", "sparse-2000", "edgeless", "n-1", "n-0"],
+)
+def test_kernel_answers_every_neighbour_query_like_the_reference_lists(make):
+    # the kernel is the graph's one store: neighbour sums, neighbour lists
+    # and the rebuilt vertex-order matrix all read it
+    g, (n, edges) = _built(make)
+    indptr, indices = reference.csr_lists(n, edges)
+    adj = g.adjacency()
+    np.testing.assert_array_equal(adj.indptr, indptr)
+    np.testing.assert_array_equal(adj.indices, indices)
+    for i in range(n):
+        assert g.neighbors(i).tolist() == indices[indptr[i] : indptr[i + 1]].tolist()
+    rng = np.random.default_rng(9)
+    for z in (rng.random(n), rng.random(n) < 0.5):
+        got, want = neighbor_sums(g, z), adj @ z
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize(
     "x0,want",
     [
@@ -295,7 +336,7 @@ def _outcome(parse, text):
         g = parse(text)
     except FormatError as exc:
         return str(exc)
-    return g.n, g.indptr.tolist(), g.indices.tolist(), g.w.tolist()
+    return g.n, g.adjacency().indptr.tolist(), g.adjacency().indices.tolist(), g.w.tolist()
 
 
 CHUNK_SIZES = [1, 7, 64, graphnorm.io.CHUNK_BYTES]
