@@ -96,12 +96,11 @@ class SolveTrace:
     mass series are filled only when the run records a full trace:
     energy[k] is the post-step state at gamma[k] and pre_energy[k] the
     pre-step state at the same gamma, so per-step descent is checkable
-    even under a moving schedule.  Both are read from the products
-    y = v*x and K@y a step computes anyway, K the kernel: pre_energy[k]
-    from step k's, energy[k] from step k+1's, and the last energy from one
-    extra product.  pre_energy[0] is energy() on the start when run_wrgn
-    takes the first step from a scaled start.  Each energy equals energy()
-    on its state, and each mass weighted_mass(), bit for bit.
+    even under a moving schedule.  Both are read from the products y and
+    K@y a step computes anyway, K the kernel, y's power of two undone exactly:
+    pre_energy[k] from step k's, energy[k] from step k+1's, the last from one
+    extra product.  Each energy is energy() on its state bit for bit while
+    its products are normal, else the more exact; each mass weighted_mass().
     """
 
     gamma: list[float] = field(default_factory=list)
@@ -129,15 +128,28 @@ def _checked_state(g: WeightedGraph, x, name: str = "state") -> np.ndarray:
     return x
 
 
-def _products(g: WeightedGraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weighted state y = v*x and its neighbour sums A@y."""
-    y = g.v * x
+def _products(g: WeightedGraph, x: np.ndarray, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted state y = (2**k * v)*x and its neighbour sums A@y."""
+    y = np.ldexp(g.v, k) * x
     return y, neighbor_sums(g, y)
 
 
-def _energy(w: np.ndarray, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamma: float, e: int = 0) -> float:
-    """2**e * (2**e * Q - w.x), the energy of 2**e * x at gamma: Q from x's products (y, ay), w in x's order."""
-    q = 0.5 * (y @ y + gamma * (y @ ay))
+def _v_exponent(v: np.ndarray, gamma_hi: float, top: float = 1.0) -> int:
+    """k for a step's y = (2**k * v)*x, x's max being top; the map ignores k while y is normal.
+
+    max(2**k * v) < 2**min(256, 1022 - e(gamma_hi * n)), e frexp's exponent: gamma*A*y < 2**1022 for x in [0, 1], and
+    y is normal down to x = 2**-1074 while max w / min w < 2**406.  k is 0 where min(2**k * v) would leave the normal
+    range; a top above 1 takes e(top) more, down to that floor."""
+    m, e = math.frexp(gamma_hi)  # e(gamma_hi * n) below, the product never overflowing
+    k = min(256, 1022 - e - math.frexp(m * v.size)[1]) - math.frexp(v.max(initial=0.0))[1]
+    floor = -1021 - math.frexp(v.min(initial=math.inf))[1]  # the least k with 2**k * min v normal
+    k = k if k >= floor else 0
+    return max(k - math.frexp(top)[1], floor) if top > 1.0 else k
+
+
+def _energy(w: np.ndarray, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamma: float, k: int = 0, e: int = 0) -> float:
+    """2**e * (2**e * Q - w.x), the energy of 2**e * x at gamma, w in x's order, Q from y = (2**k * v)*x and ay = A@y."""
+    q = 0.5 * (np.ldexp(y @ y, -2 * k) + gamma * np.ldexp(y @ ay, -2 * k))  # unscaled before gamma, which may be huge
     return float(np.ldexp(np.ldexp(q, e) - w @ x, e))
 
 
@@ -146,16 +158,11 @@ def _kernel_energy(g: WeightedGraph, x: np.ndarray, gamma: float, e: int = 0) ->
     order, kernel = g.kernel()
     x = x[order]
     y = g.v[order] * x
-    return _energy(g.w[order], x, y, kernel @ y, gamma, e)
+    return _energy(g.w[order], x, y, kernel @ y, gamma, e=e)
 
 
 def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """(s, e) with x = 2**e * s: (x, 0) if x's max is at most 1, else s has a max in [0.5, 1).
-
-    The map is homogeneous of degree 0 in x, so a step from the scaled state
-    is the step from x, bit for bit while the scaled entries stay normal,
-    and its weighted entries v*s cannot overflow.
-    """
+    """(s, e) with x = 2**e * s, s's max in [0.5, 1) ((x, 0) at a max up to 1); it flushes tiny entries, so no step uses it."""
     top = x.max(initial=0.0)
     e = math.frexp(top)[1] if top > 1.0 else 0
     return (np.ldexp(x, -e) if e else x), e
@@ -189,10 +196,11 @@ def gn_step(g: WeightedGraph, x: np.ndarray, gamma: float) -> np.ndarray:
     x'_i = x_i / (x_i + gamma * sum_{j ~ i} (v_j / v_i) x_j), one divide masked
     to the positive denominators over an array of 0.5: an entry whose
     denominator is exactly 0, outside the map's domain, keeps that fallback.
-    A state whose max exceeds 1 steps from its power-of-two scaling (_scaled).
+    y is formed from v scaled by a power of two, as in run_wrgn (_v_exponent).
     """
+    x, gamma = _checked_state(g, x), _checked_gamma(gamma)
     with np.errstate(over="ignore"):  # gamma*A*y overflowing to inf sends its entry to 0
-        out, _ = _step(g, *_products(g, _scaled(_checked_state(g, x))[0]), _checked_gamma(gamma))
+        out, _ = _step(g, *_products(g, x, _v_exponent(g.v, gamma, x.max(initial=0.0))), gamma)
     return out
 
 
@@ -219,11 +227,11 @@ def run_wrgn(
     underflow falls back as gn_step does, and the trace counts it.  When
     early_exit is set, stops once gamma has reached its final value and
     the step infinity-norm falls below 1e-12; otherwise runs the full
-    budget.  The first step is taken from the start's power-of-two scaling
-    (_scaled), which changes no state after it.  Each entry after a step
+    budget.  Each step forms y = (2**k * v)*x, k taken once per run from v
+    and the schedule's largest gamma (_v_exponent; a start above 1 gives the
+    first step its own), so y stays normal as the losing entries decay and
+    weights times a power of four change no state.  Each entry after a step
     is y/d with 0 <= y <= d, or 0.5, so the final state lies in [0, 1].
-    The trace carries the energy/mass series only when record_trace is
-    set; step norms and fallback counts are always kept.
 
     Every run steps in the graph's kernel order (WeightedGraph.kernel): it
     permutes the start once, and every elementwise operation and each
@@ -238,25 +246,25 @@ def run_wrgn(
         raise NormalizationError("initial state has a zero closed neighborhood sum")
 
     order, kernel = g.kernel()
-    v, x = g.v[order], start[order]  # a copy: the start is never written
+    kv, kv0 = (_v_exponent(g.v, max(schedule.gamma0, schedule.gamma1), top) for top in (1.0, start.max(initial=0.0)))
+    v, x = np.ldexp(g.v[order], kv), start[order]  # a copy: the start is never written
     w = g.w[order] if record_trace else None  # only the trace reads the weights
-    first, _ = _scaled(x)  # the state the first step is taken from
     x_new, y = np.empty(g.n), np.empty(g.n)
     trace = SolveTrace()
     final_gamma = schedule.final_gamma
     # gamma*A*y may overflow to inf, which sends its entry to 0 and a traced
-    # energy to inf; errstate holds per thread, so it is set here, not round the pool
-    with np.errstate(over="ignore"):
+    # energy to inf or NaN; errstate holds per thread, so it is set here
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(schedule.iterations):
             gamma = schedule.gamma_at(k)
-            np.multiply(v, x if k else first, out=y)
+            np.multiply(v if k else np.ldexp(v, kv0 - kv), x, out=y)
             ay = kernel @ y
             if record_trace:
                 if k:
                     # this state is the previous step's post-step state
-                    trace.energy.append(_energy(w, x, y, ay, trace.gamma[-1]))
-                # the energy, unlike the map, depends on the start's scale
-                trace.pre_energy.append(_energy(w, x, y, ay, gamma) if k or first is x else energy(g, start, gamma))
+                    trace.energy.append(_energy(w, x, y, ay, trace.gamma[-1], kv))
+                pre = _energy(w, x, y, ay, gamma, kv if k else kv0)  # NaN: a start's mass overflowed
+                trace.pre_energy.append(energy(g, start, gamma) if math.isnan(pre) else pre)
             _, nfb = _step(g, y, ay, gamma, x_new)
             delta = np.abs(np.subtract(x_new, x, out=y), out=y)  # y is spent
             step_inf = float(delta.max(initial=0.0))
@@ -272,7 +280,7 @@ def run_wrgn(
                 break
         if record_trace:
             np.multiply(v, x, out=y)
-            trace.energy.append(_energy(w, x, y, kernel @ y, trace.gamma[-1]))
+            trace.energy.append(_energy(w, x, y, kernel @ y, trace.gamma[-1], kv))
     final = np.empty(g.n)
     final[order] = x
     return final, trace

@@ -29,9 +29,11 @@ CORRESPONDENCE_LIMIT = 16
 
 def _neighbor_masks(g: WeightedGraph, order: Sequence[int]) -> list[int]:
     """Neighbourhood bitmasks in a vertex order: mask p is order[p]'s, bit q stands for order[q]."""
-    pos = np.empty(g.n, dtype=np.int64)
-    pos[order] = np.arange(g.n)
-    return [sum(1 << q for q in pos[g.neighbors(i)].tolist()) for i in order]
+    korder, kernel = g.kernel()
+    pos = np.argsort(np.asarray(order))  # order's inverse
+    bits, ptr = pos[korder[kernel.indices]].tolist(), kernel.indptr.tolist()  # one gather over K's rows
+    rows = [sum(1 << q for q in bits[a:b]) for a, b in zip(ptr, ptr[1:])]  # row a is vertex korder[a]'s
+    return [rows[a] for a in np.argsort(pos[korder]).tolist()]
 
 
 def _mask_members(mask: int) -> np.ndarray:

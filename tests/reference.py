@@ -236,16 +236,40 @@ def write_instance(g, comment=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def step(g, x, gamma):
-    """One normalization step; returns (new state, fallback count).
+def v_exponent(g, gamma_hi, top):
+    """The power of two k that v is scaled by before a step forms y = (2**k * v) * x.
 
-    A state whose max exceeds 1 is first multiplied by 2**-e, e the exponent
-    frexp gives its max: the map is homogeneous of degree 0 in x.
+    With e(z) frexp's exponent: max(2**k * v) lies below 2**target, target
+    = min(256, 1022 - e(gamma_hi * n)), unless 2**k * min(v) would then be
+    subnormal, when k is 0.  A state whose max top exceeds 1 takes e(top)
+    more off, but k stays at or above the least exponent that keeps
+    2**k * min(v) normal.
     """
-    top = float(np.max(x, initial=0.0))
+    if g.n == 0:
+        return 0
+    # e(gamma_hi * n) of the exact product, halving gamma_hi while the
+    # float product overflows
+    halvings = 0
+    while gamma_hi * g.n == math.inf:
+        gamma_hi /= 2.0
+        halvings += 1
+    target = min(256, 1022 - (math.frexp(gamma_hi * g.n)[1] + halvings))
+    smallest = min(float(vi) for vi in g.v)
+    largest = max(float(vi) for vi in g.v)
+    floor = -2200  # below every v's: v = sqrt(w) is at least 2**-537
+    while math.ldexp(smallest, floor) < 2.0**-1022:
+        floor += 1
+    k = target - math.frexp(largest)[1]
+    if k < floor:
+        k = 0
     if top > 1.0:
-        x = x * 2.0 ** -math.frexp(top)[1]
-    y = g.v * x
+        k = max(k - math.frexp(top)[1], floor)
+    return k
+
+
+def step(g, x, gamma, k):
+    """One normalization step from y = (2**k * v) * x, which the map does not depend on; returns (new state, fallback count)."""
+    y = np.ldexp(g.v, k) * x
     d = y + gamma * (g.adjacency() @ y)
     ok = d > 0.0
     out = np.where(ok, y / np.where(ok, d, 1.0), FALLBACK_VALUE)
@@ -266,6 +290,9 @@ def run_wrgn(g, x0, schedule, record_trace=False, early_exit=False):
 
     trace = SolveTrace()
     final_gamma = schedule.final_gamma
+    # every state after the start lies in [0, 1], so shares one exponent
+    gamma_hi = max(schedule.gamma0, schedule.gamma1)
+    first, rest = v_exponent(g, gamma_hi, float(np.max(x, initial=0.0))), v_exponent(g, gamma_hi, 1.0)
     prev_gamma = None
     prev_energy = None
     for k in range(schedule.iterations):
@@ -277,7 +304,7 @@ def run_wrgn(g, x0, schedule, record_trace=False, early_exit=False):
                 trace.pre_energy.append(prev_energy)
             else:
                 trace.pre_energy.append(energy(g, x, gamma))
-        x_new, nfb = step(g, x, gamma)
+        x_new, nfb = step(g, x, gamma, rest if k else first)
         step_inf = float(np.max(np.abs(x_new - x))) if g.n else 0.0
         trace.gamma.append(gamma)
         trace.step_inf.append(step_inf)

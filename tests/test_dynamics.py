@@ -25,6 +25,7 @@ from graphnorm.dynamics import FALLBACK_VALUE, _products, _scaled, _step
 from graphnorm.graph import WeightedGraph
 
 import reference
+from test_reference import _sparse_with_duplicates
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +134,24 @@ def test_overflowing_weighted_state_steps_from_its_scaling():
     final, trace = run_wrgn(g, x, schedule)
     np.testing.assert_array_equal(final, run_wrgn(g, np.ldexp(x, -997), schedule)[0])
     assert np.all(np.isfinite(final)) and trace.step_inf[0] == 1e300  # from the caller's start
+
+
+def test_tiny_entry_of_a_start_above_one_is_not_flushed():
+    # scaling this start into [0.5, 1) flushed 1e-30 to 0, which met a zero
+    # denominator and fell back to 0.5; the scale on v keeps it
+    g = build_graph(2, [], [1.0, 1.0])
+    x = np.array([1e300, 1e-30])
+    np.testing.assert_array_equal(gn_step(g, x, 1.0), [1.0, 1.0])
+    assert run_wrgn(g, x, GammaSchedule.pursuit())[1].total_fallbacks == 0
+
+
+def test_scale_on_v_leaves_gamma_headroom():
+    # a fixed 2**256 on v overflows gamma*A*y at gamma = 1e300, sending both
+    # entries to 0 and the next step to two fallbacks
+    g = build_graph(2, [(0, 1)], [1.0, 1.0])
+    x, trace = run_wrgn(g, np.array([1.0, 1e-5]), GammaSchedule.constant(1e300, 3))
+    np.testing.assert_array_equal(x, [1.0000000000000029e-280, 1e-320])
+    assert trace.fallbacks == [0, 0, 0]
 
 
 def test_traced_run_from_a_state_above_one_records_its_energy(p3_weighted):
@@ -374,6 +393,18 @@ def test_weight_scale_keeps_rounded_members(scale):
         x_scaled, trace = run_wrgn(scaled, x0, schedule)
         assert trace.total_fallbacks == 0
         assert round_to_mis(scaled, x_scaled).members == round_to_mis(g, x).members
+
+
+def test_power_of_four_weight_scale_keeps_every_state():
+    # 4**j scales v by 2**j, which the step's own power of two absorbs, so
+    # the whole run is bit for bit the same, the subnormal phase included
+    g = _sparse_with_duplicates()
+    x0, schedule = init_random(g.n, 3), GammaSchedule.pursuit()
+    x, trace = run_wrgn(g, x0, schedule)
+    for j in (-400, -1, 1, 400):
+        x_scaled, trace_scaled = run_wrgn(build_graph(g.n, reference.edges(g), g.w * 4.0**j), x0, schedule)
+        np.testing.assert_array_equal(x_scaled, x)
+        assert trace_scaled.fallbacks == trace.fallbacks
 
 
 def test_run_wrgn_early_exit():
