@@ -93,14 +93,15 @@ class SolveTrace:
     """Per-iteration record of one trajectory.
 
     gamma, step_inf, and fallbacks are always populated.  The energy and
-    mass series are filled only when the run records a full trace:
-    energy[k] is the post-step state at gamma[k] and pre_energy[k] the
-    pre-step state at the same gamma, so per-step descent is checkable
-    even under a moving schedule.  Both are read from the products y and
-    K@y a step computes anyway, K the kernel, y's power of two undone exactly:
-    pre_energy[k] from step k's, energy[k] from step k+1's, the last from one
-    extra product.  Each energy is energy() on its state bit for bit while
-    its products are normal, else the more exact; each mass weighted_mass().
+    mass series are filled only when the run records a full trace: energy[k]
+    is the post-step state at gamma[k] and pre_energy[k] the pre-step state
+    at the same gamma, so per-step descent is checkable even under a moving
+    schedule.  States 0..K are each read once, as y.y, y.Ay and w.x from the
+    products y and K@y a step computes anyway (K the kernel; the last state
+    by one extra product); pre_energy is states 0..K-1 and energy states
+    1..K at gamma, y's power of two undone exactly, and mass the w.x of
+    states 1..K.  Each energy is energy() on its state bit for bit while its
+    products are normal, else the more exact; each mass weighted_mass().
     """
 
     gamma: list[float] = field(default_factory=list)
@@ -147,18 +148,9 @@ def _v_exponent(v: np.ndarray, gamma_hi: float, top: float = 1.0) -> int:
     return max(k - math.frexp(top)[1], floor) if top > 1.0 else k
 
 
-def _energy(w: np.ndarray, x: np.ndarray, y: np.ndarray, ay: np.ndarray, gamma: float, k: int = 0, e: int = 0) -> float:
-    """2**e * (2**e * Q - w.x), the energy of 2**e * x at gamma, w in x's order, Q from y = (2**k * v)*x and ay = A@y."""
-    q = 0.5 * (np.ldexp(y @ y, -2 * k) + gamma * np.ldexp(y @ ay, -2 * k))  # unscaled before gamma, which may be huge
-    return float(np.ldexp(np.ldexp(q, e) - w @ x, e))
-
-
-def _kernel_energy(g: WeightedGraph, x: np.ndarray, gamma: float, e: int = 0) -> float:
-    """Energy of 2**e * x at gamma, its dot products summed in the kernel's order, as run_wrgn's are."""
-    order, kernel = g.kernel()
-    x = x[order]
-    y = g.v[order] * x
-    return _energy(g.w[order], x, y, kernel @ y, gamma, e=e)
+def _energy(yy, yay, wx, gamma, e: int = 0):
+    """2**e * (2**e * Q - wx), Q = (yy + gamma*yay)/2, elementwise: the energy of 2**e * x at gamma from x's sums."""
+    return np.ldexp(np.ldexp(0.5 * (yy + gamma * yay), e) - wx, e)
 
 
 def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -235,9 +227,11 @@ def run_wrgn(
 
     Every run steps in the graph's kernel order (WeightedGraph.kernel): it
     permutes the start once, and every elementwise operation and each
-    row's sum is the same as in vertex order, so the states are too.  The
-    energies and masses are dot products, whose sums depend on the order
-    of their terms; energy() and weighted_mass() sum in the same order.
+    row's sum is the same as in vertex order, so the states are too.  A
+    traced run records each state's sums once and derives its energies and
+    masses after the loop (SolveTrace).  The sums are dot products, whose
+    last bits depend on their terms' order; energy() and weighted_mass()
+    sum in the same order.
     """
     start = _checked_state(g, x0, "start")
     if np.any(start < 0.0):
@@ -250,7 +244,7 @@ def run_wrgn(
     v, x = np.ldexp(g.v[order], kv), start[order]  # a copy: the start is never written
     w = g.w[order] if record_trace else None  # only the trace reads the weights
     x_new, y = np.empty(g.n), np.empty(g.n)
-    trace = SolveTrace()
+    trace, sums = SolveTrace(), []  # sums: per traced state, y.y and y.Ay (y's power of two not yet undone) and w.x
     final_gamma = schedule.final_gamma
     # gamma*A*y may overflow to inf, which sends its entry to 0 and a traced
     # energy to inf or NaN; errstate holds per thread, so it is set here
@@ -260,11 +254,7 @@ def run_wrgn(
             np.multiply(v if k else np.ldexp(v, kv0 - kv), x, out=y)
             ay = kernel @ y
             if record_trace:
-                if k:
-                    # this state is the previous step's post-step state
-                    trace.energy.append(_energy(w, x, y, ay, trace.gamma[-1], kv))
-                pre = _energy(w, x, y, ay, gamma, kv if k else kv0)  # NaN: a start's mass overflowed
-                trace.pre_energy.append(energy(g, start, gamma) if math.isnan(pre) else pre)
+                sums.append((y @ y, y @ ay, w @ x))
             _, nfb = _step(g, y, ay, gamma, x_new)
             delta = np.abs(np.subtract(x_new, x, out=y), out=y)  # y is spent
             step_inf = float(delta.max(initial=0.0))
@@ -274,13 +264,21 @@ def run_wrgn(
             x, x_new = x_new, x
             if not math.isfinite(step_inf):  # x was finite, so x_new is not
                 raise NormalizationError(f"non-finite state at iteration {k}")
-            if record_trace:
-                trace.mass.append(float(w @ x))
             if early_exit and gamma == final_gamma and step_inf < 1e-12:
                 break
         if record_trace:
             np.multiply(v, x, out=y)
-            trace.energy.append(_energy(w, x, y, kernel @ y, trace.gamma[-1], kv))
+            sums.append((y @ y, y @ (kernel @ y), w @ x))
+            yy, yay, wx = np.array(sums).T
+            yy, yay = np.ldexp([yy, yay], -2 * np.where(np.arange(yy.size), kv, kv0))  # unscaled before gamma, which may be huge
+            gammas = np.array(trace.gamma)
+            pre = _energy(yy[:-1], yay[:-1], wx[:-1], gammas)
+            # NaN: the start's mass overflowed.  Every later state lies in [0, 1] and build_graph
+            # keeps the total weight finite, so its w.x is finite and its energy is never NaN
+            pre[0] = energy(g, start, gammas[0]) if math.isnan(pre[0]) else pre[0]
+            trace.pre_energy = pre.tolist()
+            trace.energy = _energy(yy[1:], yay[1:], wx[1:], gammas).tolist()
+            trace.mass = wx[1:].tolist()
     final = np.empty(g.n)
     final[order] = x
     return final, trace
@@ -318,15 +316,17 @@ def energy(g: WeightedGraph, x: np.ndarray, gamma: float) -> float:
 
     In the weighted state y = v*x this is (1/2) y'(I + gamma A)y - v'y,
     the Lyapunov function the dynamics strictly decrease at fixed gamma.
-    Its dot products sum in the kernel's order, as run_wrgn's traced
-    energies do.
+    It is _energy, the formula of run_wrgn's traced energies, on x's sums
+    taken in the kernel's order, as theirs are.
     """
-    x, gamma = _checked_state(g, x), _checked_gamma(gamma)
+    order, kernel = g.kernel()
+    x, gamma = _checked_state(g, x)[order], _checked_gamma(gamma)
     with np.errstate(over="ignore", invalid="ignore"):  # an energy beyond the float range is inf
-        value = _kernel_energy(g, x, gamma)
-        if math.isnan(value):  # v*x overflowed, giving inf - inf: take it from x = 2**e * s instead
-            s, e = _scaled(x)
-            value = _kernel_energy(g, s, gamma, e)
+        for s, e in (x, 0), _scaled(x):
+            y = g.v[order] * s
+            value = float(_energy(y @ y, y @ (kernel @ y), g.w[order] @ s, gamma, e))
+            if not math.isnan(value):  # NaN: v*x overflowed, giving inf - inf; x = 2**e * s gives it
+                break
     return value
 
 
