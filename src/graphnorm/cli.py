@@ -104,10 +104,7 @@ def cmd_solve(args) -> int:
 
 
 def _parse_solution_file(text: str) -> list[int]:
-    tokens = (
-        text.replace("{", " ").replace("}", " ").replace(",", " ").replace(";", " ")
-    )
-    return [int(tok) for tok in tokens.split()]
+    return [int(tok) for tok in text.translate(str.maketrans("{}[],;", "      ")).split()]
 
 
 def cmd_verify(args) -> int:
@@ -130,13 +127,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_atoms(args) -> int:
+    """Census table of the built-in enumeration, or of a graph6 file read one block at a time."""
     from .enumeration import census, census_from_stream, format_census_table
 
     if args.graph6:
         if args.cumulative:
             raise ValueError("--cumulative applies to --n only; a graph6 stream gives one row")
-        lines = _read_text(args.graph6).splitlines()
-        row, skipped = census_from_stream(lines)
+        with open(args.graph6, encoding="utf-8-sig") as f:  # str.splitlines also ends lines at \f, U+2028 and others
+            row, skipped = census_from_stream(part for line in f for part in line.splitlines())
         text = format_census_table([row])
         if skipped:
             text += f"\nskipped {skipped} disconnected record(s)"

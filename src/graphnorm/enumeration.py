@@ -29,7 +29,7 @@ from .io import graph6_adjacency, graph6_pairs, parse_graph6
 
 MAX_BUILTIN_N = 7
 
-# graphs per stacked domination test in the census
+# graphs per stack the census pulls and screens for connectivity and domination
 DOMINATION_BLOCK = 256
 
 
@@ -136,20 +136,21 @@ class SpectrumClassification:
     regular: bool
 
 
-def _is_connected(adj: np.ndarray) -> bool:
-    """Reachability from vertex 0 by repeated squaring of I + A, as booleans.
+def _is_connected(adj) -> np.ndarray:
+    """Per graph of a 0/1 stack (..., n, n): is it connected?
 
+    Reachability from vertex 0 by repeated squaring of I + A, as booleans.
     After k squarings the matrix marks every pair joined by a walk of
     length at most 2^k, so ceil(log2(n - 1)) products reach every path.
     The empty graph is not connected.
     """
-    n = adj.shape[0]
+    n = adj.shape[-1]
     if n == 0:
-        return False
+        return np.zeros(adj.shape[:-2], dtype=bool)
     reach = (adj != 0) | np.eye(n, dtype=bool)
     for _ in range((n - 2).bit_length() if n > 1 else 0):
         reach = reach @ reach
-    return bool(reach[0].all())
+    return reach[..., 0, :].all(axis=-1)
 
 
 def _dominated(adj) -> np.ndarray:
@@ -322,56 +323,55 @@ def atom_spectrum(adjacency) -> SpectrumClassification:
 # Atomic census
 
 
-def _tally(n: int, graphs: Iterable[np.ndarray]) -> CensusRow:
-    """Census row of connected 0/1 graphs on n vertices.
+def _tally(n: int, graphs: Iterable[np.ndarray]) -> tuple[CensusRow, int]:
+    """Census row of 0/1 graphs on n vertices, and how many were disconnected.
 
-    Graphs go through _dominated in stacks of DOMINATION_BLOCK; only the
-    undominated ones, whose spectrum can be nonempty, reach atom_spectrum.
+    Graphs are pulled and screened in stacks of DOMINATION_BLOCK, by
+    _is_connected and then _dominated; only connected, undominated ones,
+    whose spectrum can be nonempty, reach atom_spectrum.
     """
     counts: Counter = Counter()
-    total = 0
+    total = skipped = 0
     graphs = iter(graphs)
     while block := list(islice(graphs, DOMINATION_BLOCK)):
-        total += len(block)
-        for adj, dominated in zip(block, _dominated(np.stack(block))):
+        stack = np.stack(block)
+        stack = stack[_is_connected(stack)]
+        total += len(stack)
+        skipped += len(block) - len(stack)
+        for adj, dominated in zip(stack, _dominated(stack)):
             if not dominated:
                 spectrum = atom_spectrum(adj)
                 counts[spectrum.regular, spectrum.kind] += 1
     kinds = (SpectrumKind.DISCRETE, SpectrumKind.CONTINUOUS)
-    return CensusRow(n, total, *(counts[r, k] for r in (False, True) for k in kinds))
+    return CensusRow(n, total, *(counts[r, k] for r in (False, True) for k in kinds)), skipped
 
 
 def census(n: int) -> CensusRow:
     """Atomic census over the built-in enumeration (n <= 7)."""
-    return _tally(n, connected_graphs_upto(n))
+    return _tally(n, connected_graphs_upto(n))[0]
 
 
 def census_from_stream(lines: Iterable[str]) -> tuple[CensusRow, int]:
     """Atomic census over externally supplied graph6 records.
 
-    All records must decode to graphs of one common order; disconnected
-    graphs are skipped and counted.  Returns (row, skipped).
+    Each record is decoded, and its order checked against the first's, as
+    _tally pulls it, so no list is kept and the first bad record raises.
+    Disconnected graphs are skipped and counted.  Returns (row, skipped).
     """
-    n = None
-    kept: list[np.ndarray] = []
-    skipped = 0
-    for line in lines:
-        if not line.strip():
-            continue
-        adj = parse_graph6(line)
-        if n is None:
-            n = adj.shape[0]
-        elif adj.shape[0] != n:
-            raise ValueError(
-                f"mixed graph orders in stream: {adj.shape[0]} after {n}"
-            )
-        if not _is_connected(adj):
-            skipped += 1
-            continue
-        kept.append(adj)
-    if n is None:
+    records = (parse_graph6(line) for line in lines if line.strip())
+    first = next(records, None)
+    if first is None:
         return CensusRow(0, 0, 0, 0, 0, 0), 0
-    return _tally(n, kept), skipped
+    n = first.shape[0]
+
+    def same_order():
+        yield first
+        for adj in records:
+            if adj.shape[0] != n:
+                raise ValueError(f"mixed graph orders in stream: {adj.shape[0]} after {n}")
+            yield adj
+
+    return _tally(n, same_order())
 
 
 def format_census_table(rows: Iterable[CensusRow]) -> str:

@@ -127,6 +127,24 @@ def test_census_stream_mixes_dominated_undominated_and_disconnected():
     assert spectrum.call_count == 76
 
 
+def test_census_stream_is_tallied_one_block_at_a_time():
+    # every record was decoded and kept before the first stack was screened
+    graphs = list(connected_graphs_upto(7))
+    assert len(graphs) > 3 * DOMINATION_BLOCK
+    pulled_before_first_solve = 0
+
+    def lines():
+        nonlocal pulled_before_first_solve
+        for adj in graphs:
+            pulled_before_first_solve += spectrum.call_count == 0
+            yield write_graph6(adj)
+
+    with mock.patch("graphnorm.enumeration.atom_spectrum", wraps=atom_spectrum) as spectrum:
+        row, skipped = census_from_stream(lines())
+    assert pulled_before_first_solve <= DOMINATION_BLOCK + 1
+    assert (row, skipped) == (census(7), 0)
+
+
 def test_census_stream_n3_total():
     lines = [write_graph6(a) for a in connected_graphs_upto(3)]
     row, _ = census_from_stream(lines)

@@ -646,11 +646,16 @@ def test_is_connected_matches_reference_all_connected_small():
 @given(small_graphs(max_n=10), st.data())
 def test_is_connected_matches_reference_random(adj, data):
     n = len(adj)
+    stack = np.stack([adj] + data.draw(st.lists(small_graphs(n=n), max_size=4)))
     if data.draw(st.booleans()):
         # cut every edge across a drawn split, so disconnected draws are common
         side = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-        adj = adj * (side[:, None] == side[None, :])
-    assert _is_connected(adj) == reference.is_connected(adj)
+        stack = stack * (side[:, None] == side[None, :])
+    assert _is_connected(stack[0]) == reference.is_connected(stack[0])
+    # the census screens stacks: each graph gets the answer it gets alone,
+    # on stacks of order 0 and 1 too
+    for graphs in (stack, np.zeros((2, 0, 0), dtype=np.int8), np.zeros((2, 1, 1), dtype=np.int8)):
+        assert _is_connected(graphs).tolist() == [reference.is_connected(a) for a in graphs]
 
 
 def test_atom_spectrum_matches_reference_all_small():

@@ -367,6 +367,11 @@ def test_cli_verify(k2_file, tmp_path, capsys):
     assert "independent: true" in out
     assert "maximal: true" in out
     assert "weight: 4" in out
+    # the member list verify prints reads back: "[0]" was "invalid literal for int()"
+    members = next(line for line in out.splitlines() if line.startswith("members: "))
+    sol.write_text(members.removeprefix("members: ") + "\n")
+    assert main(["verify", str(k2_file), str(sol)]) == 0
+    assert capsys.readouterr().out == out
     sol.write_text("0 1\n")
     assert main(["verify", str(k2_file), str(sol)]) == 1
     out = capsys.readouterr().out
@@ -531,7 +536,14 @@ def test_cli_atoms_graph6_skips_blank_lines_and_disconnected_records(tmp_path, c
     f = tmp_path / "graphs.g6"
     f.write_text("A_\n\nA?\n")  # K2, a blank line, two isolated vertices
     assert main(["atoms", "--graph6", str(f)]) == 0
-    assert "skipped 1 disconnected record(s)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "skipped 1 disconnected record(s)" in out
+    # a leading byte-order mark is dropped, and a form feed ends a record as
+    # str.splitlines ends a line
+    for text in ("\ufeffA_\n\nA?\n", "A_\fA?\r\n"):
+        f.write_text(text, encoding="utf-8")
+        assert main(["atoms", "--graph6", str(f)]) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_cli_atoms_empty_stream(tmp_path, capsys):
