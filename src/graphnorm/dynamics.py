@@ -92,8 +92,8 @@ class GammaSchedule:
 class SolveTrace:
     """Per-iteration record of one trajectory.
 
-    gamma, step_inf, and fallbacks are always populated.  The energy and
-    mass series are filled only when the run records a full trace: energy[k]
+    fallbacks, one count per step and so len(), is always populated; gamma,
+    step_inf and the energy and mass series only when traced: energy[k]
     is the post-step state at gamma[k] and pre_energy[k] the pre-step state
     at the same gamma, so per-step descent is checkable even under a moving
     schedule.  States 0..K are each read once, as y.y, y.Ay and w.x from the
@@ -116,7 +116,7 @@ class SolveTrace:
         return sum(self.fallbacks)
 
     def __len__(self) -> int:
-        return len(self.gamma)
+        return len(self.fallbacks)
 
 
 def _checked_state(g: WeightedGraph, x, name: str = "state") -> np.ndarray:
@@ -140,12 +140,15 @@ def _v_exponent(v: np.ndarray, gamma_hi: float, top: float = 1.0) -> int:
 
     max(2**k * v) < 2**min(256, 1022 - e(gamma_hi * n)), e frexp's exponent: gamma*A*y < 2**1022 for x in [0, 1], and
     y is normal down to x = 2**-1074 while max w / min w < 2**406.  k is 0 where min(2**k * v) would leave the normal
-    range; a top above 1 takes e(top) more, down to that floor."""
+    range; a top above 1 takes e(top) more, down to that floor or, where the floor is higher, to cap - e(top), which
+    keeps y and A*y below 2**1022 (gamma*A*y overflowing to inf sends its entry to 0, as at k = 0)."""
     m, e = math.frexp(gamma_hi)  # e(gamma_hi * n) below, the product never overflowing
-    k = min(256, 1022 - e - math.frexp(m * v.size)[1]) - math.frexp(v.max(initial=0.0))[1]
+    e_max = math.frexp(v.max(initial=0.0))[1]
+    cap = 1022 - math.frexp(v.size)[1] - e_max  # n * max(2**k * v) < 2**1022 at k = cap
     floor = -1021 - math.frexp(v.min(initial=math.inf))[1]  # the least k with 2**k * min v normal
+    k = min(256, 1022 - e - math.frexp(m * v.size)[1]) - e_max
     k = k if k >= floor else 0
-    return max(k - math.frexp(top)[1], floor) if top > 1.0 else k
+    return max(k - math.frexp(top)[1], min(floor, cap - math.frexp(top)[1])) if top > 1.0 else k
 
 
 def _energy(yy, yay, wx, gamma, e: int = 0):
@@ -213,17 +216,17 @@ def run_wrgn(
 ) -> tuple[np.ndarray, SolveTrace]:
     """Iterate the map under a gamma schedule.
 
-    Raises NormalizationError if x0 is not a length-n vector, has a
-    non-finite or negative entry, or is not normalizable, or if a
-    non-finite state appears mid-run.  A step that leaves the domain by
-    underflow falls back as gn_step does, and the trace counts it.  When
-    early_exit is set, stops once gamma has reached its final value and
-    the step infinity-norm falls below 1e-12; otherwise runs the full
-    budget.  Each step forms y = (2**k * v)*x, k taken once per run from v
-    and the schedule's largest gamma (_v_exponent; a start above 1 gives the
-    first step its own), so y stays normal as the losing entries decay and
-    weights times a power of four change no state.  Each entry after a step
-    is y/d with 0 <= y <= d, or 0.5, so the final state lies in [0, 1].
+    Raises NormalizationError unless x0 is a finite, nonnegative and
+    normalizable length-n vector.  A step that leaves the domain by
+    underflow falls back as gn_step does, and the trace counts it.  With
+    early_exit, stops once gamma is final and the step infinity-norm (taken
+    only then, or when traced) is below 1e-12; else runs the full budget.
+    Each step forms y = (2**k * v)*x, k taken once per run from v and the
+    schedule's largest gamma (_v_exponent; a start above 1 gives the first
+    step its own), so y is finite, stays normal as the losing entries decay,
+    and weights times a power of four change no state.  Each entry after a
+    step is y/d with 0 <= y <= d, or 0.5, so every state is finite (the
+    norm's check never fires) and the final state lies in [0, 1].
 
     Every run steps in the graph's kernel order (WeightedGraph.kernel): it
     permutes the start once, and every elementwise operation and each
@@ -245,7 +248,6 @@ def run_wrgn(
     w = g.w[order] if record_trace else None  # only the trace reads the weights
     x_new, y = np.empty(g.n), np.empty(g.n)
     trace, sums = SolveTrace(), []  # sums: per traced state, y.y and y.Ay (y's power of two not yet undone) and w.x
-    final_gamma = schedule.final_gamma
     # gamma*A*y may overflow to inf, which sends its entry to 0 and a traced
     # energy to inf or NaN; errstate holds per thread, so it is set here
     with np.errstate(over="ignore", invalid="ignore"):
@@ -255,17 +257,18 @@ def run_wrgn(
             ay = kernel @ y
             if record_trace:
                 sums.append((y @ y, y @ ay, w @ x))
-            _, nfb = _step(g, y, ay, gamma, x_new)
-            delta = np.abs(np.subtract(x_new, x, out=y), out=y)  # y is spent
-            step_inf = float(delta.max(initial=0.0))
-            trace.gamma.append(gamma)
-            trace.step_inf.append(step_inf)
-            trace.fallbacks.append(nfb)
+            trace.fallbacks.append(_step(g, y, ay, gamma, x_new)[1])  # the state goes into x_new
             x, x_new = x_new, x
-            if not math.isfinite(step_inf):  # x was finite, so x_new is not
-                raise NormalizationError(f"non-finite state at iteration {k}")
-            if early_exit and gamma == final_gamma and step_inf < 1e-12:
-                break
+            exits = early_exit and gamma == schedule.final_gamma  # the only steps early exit tests
+            if record_trace or exits:  # the steps whose norm is read
+                step_inf = float(np.abs(np.subtract(x, x_new, out=y), out=y).max(initial=0.0))  # y is spent
+                if not math.isfinite(step_inf):  # x_new was finite, so x is not
+                    raise NormalizationError(f"non-finite state at iteration {k}")
+                if record_trace:
+                    trace.gamma.append(gamma)
+                    trace.step_inf.append(step_inf)
+                if exits and step_inf < 1e-12:
+                    break
         if record_trace:
             np.multiply(v, x, out=y)
             sums.append((y @ y, y @ (kernel @ y), w @ x))

@@ -243,7 +243,9 @@ def v_exponent(g, gamma_hi, top):
     = min(256, 1022 - e(gamma_hi * n)), unless 2**k * min(v) would then be
     subnormal, when k is 0.  A state whose max top exceeds 1 takes e(top)
     more off, but k stays at or above the least exponent that keeps
-    2**k * min(v) normal.
+    2**k * min(v) normal, unless that exponent would take n * max(2**k * v)
+    * top to 2**1022 or beyond, where y or A*y could overflow: then k stays
+    at or above the largest exponent that keeps it below.
     """
     if g.n == 0:
         return 0
@@ -263,7 +265,9 @@ def v_exponent(g, gamma_hi, top):
     if k < floor:
         k = 0
     if top > 1.0:
-        k = max(k - math.frexp(top)[1], floor)
+        # the largest k with n * max(2**k * v) * top below 2**1022
+        cap = 1022 - math.frexp(g.n)[1] - math.frexp(largest)[1] - math.frexp(top)[1]
+        k = max(k - math.frexp(top)[1], min(floor, cap))
     return k
 
 
@@ -277,7 +281,11 @@ def step(g, x, gamma, k):
 
 
 def run_wrgn(g, x0, schedule, record_trace=False, early_exit=False):
-    """The trajectory loop calling energy() and weighted_mass() on every traced step."""
+    """The trajectory loop calling energy() and weighted_mass() on every traced step.
+
+    Every run records each step's fallback count; only a traced run
+    records gamma, the step infinity-norm, the energies and the mass.
+    """
     x = np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (g.n,):
         raise NormalizationError(f"start has shape {x.shape}, expected {(g.n,)}")
@@ -306,9 +314,10 @@ def run_wrgn(g, x0, schedule, record_trace=False, early_exit=False):
                 trace.pre_energy.append(energy(g, x, gamma))
         x_new, nfb = step(g, x, gamma, rest if k else first)
         step_inf = float(np.max(np.abs(x_new - x))) if g.n else 0.0
-        trace.gamma.append(gamma)
-        trace.step_inf.append(step_inf)
         trace.fallbacks.append(nfb)
+        if record_trace:
+            trace.gamma.append(gamma)
+            trace.step_inf.append(step_inf)
         # before the traced values: energy() and weighted_mass() reject a
         # non-finite state with their own message
         if not np.all(np.isfinite(x_new)):

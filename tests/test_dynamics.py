@@ -131,9 +131,36 @@ def test_overflowing_weighted_state_steps_from_its_scaling():
     np.testing.assert_array_equal(out, gn_step(g, np.ldexp(x, -997), 1.0))
     np.testing.assert_allclose(out, [1.0, 1e-300], rtol=1e-15, atol=0.0)
     schedule = GammaSchedule.constant(1.0, 3)
-    final, trace = run_wrgn(g, x, schedule)
+    final, trace = run_wrgn(g, x, schedule, record_trace=True)
     np.testing.assert_array_equal(final, run_wrgn(g, np.ldexp(x, -997), schedule)[0])
     assert np.all(np.isfinite(final)) and trace.step_inf[0] == 1e300  # from the caller's start
+    # at 1e308 and 1e-320 the least exponent keeping min v normal left
+    # 2**k * max v * 1e308 near 2**1046, and the step gave NaN; by hand the
+    # step is [1, v1 / v0] = [1, 1e-314], 1e-314 rounded as a subnormal
+    g = build_graph(2, [(0, 1)], [1e308, 1e-320])
+    x = np.array([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = gn_step(g, x, 1.0)
+        np.testing.assert_allclose(out, [1.0, 1e-314], rtol=1e-4, atol=0.0)
+        final, trace = run_wrgn(g, x, schedule)
+    assert np.all(np.isfinite(final)) and len(trace) == 3
+
+
+@given(st.data(), st.sampled_from([3, 1023]), st.booleans())
+def test_run_wrgn_at_the_float_range_ends(data, j, record_trace):
+    # weights as in test_solver_cli's extreme_solves, and a start scaled by
+    # 2**j: at j = 1023 the least exponent keeping min v normal may leave y
+    # beyond the float range, where the first step gave NaN and raised
+    n = data.draw(st.integers(1, 8))
+    edges = [(i, k) for i in range(n) for k in range(i + 1, n) if data.draw(st.booleans())]
+    g = build_graph(n, edges, data.draw(st.lists(st.floats(5e-324, 1e300), min_size=n, max_size=n)))
+    gamma0 = data.draw(st.floats(1e-300, 1e300))
+    gamma1 = data.draw(st.one_of(st.just(gamma0), st.floats(gamma0, 1e300)))
+    schedule = GammaSchedule(gamma0, gamma1, data.draw(st.integers(2, 60)))
+    x0 = np.ldexp(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)), j)
+    x, _ = run_wrgn(g, x0, schedule, record_trace, data.draw(st.booleans()))
+    assert np.all(np.isfinite(x) & (x >= 0.0) & (x <= 1.0))
 
 
 def test_tiny_entry_of_a_start_above_one_is_not_flushed():
@@ -410,7 +437,7 @@ def test_power_of_four_weight_scale_keeps_every_state():
 def test_run_wrgn_early_exit():
     g = erdos_renyi(20, 0.3, [11, 0])
     x0 = init_random(20, 42)
-    x, trace = run_wrgn(g, x0, GammaSchedule.constant(1.5, 100_000), early_exit=True)
+    x, trace = run_wrgn(g, x0, GammaSchedule.constant(1.5, 100_000), record_trace=True, early_exit=True)
     assert len(trace) < 100_000
     assert trace.step_inf[-1] < 1e-12
 
@@ -477,10 +504,16 @@ def test_run_wrgn_adjacency_products(schedule, early_exit):
     # one for the last post-step energy
     base = erdos_renyi(20, 0.3, [11, 0])
     g = CountingGraph(base.n, base.adjacency().indptr, base.adjacency().indices, base.w)
+    runs = []
     for record_trace, extra in [(False, 1), (True, 2)]:
         g.products = 0
-        _, trace = run_wrgn(g, init_random(20, 42), schedule, record_trace, early_exit)
-        assert g.products == len(trace) + extra
+        runs.append(run_wrgn(g, init_random(20, 42), schedule, record_trace, early_exit))
+        assert g.products == len(runs[-1][1]) + extra
+    # an untraced run keeps each step's fallback count and no other series
+    (x, trace), (x_traced, traced) = runs
+    np.testing.assert_array_equal(x, x_traced)
+    assert len(trace) == len(traced) and trace.fallbacks == traced.fallbacks
+    assert trace.gamma == trace.step_inf == [] and len(traced.gamma) == len(traced)
 
 
 # ---------------------------------------------------------------------------
