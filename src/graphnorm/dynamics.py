@@ -410,20 +410,16 @@ def round_to_mis(g: WeightedGraph, x: np.ndarray) -> MisSolution:
 def mis_stability(g: WeightedGraph, m: MisSolution, gamma: float) -> float:
     """Stability score of a maximal independent set.
 
-    gamma * min over outside vertices i of sum_{j in N(i) cap M} sqrt(w_j/w_i).
-    Scores above 1 mark asymptotically stable attractors.  Returns +inf when
-    M covers every vertex (edgeless graphs), where the min runs over nothing.
+    gamma * min over outside vertices i of sum_{j in N(i) cap M} v_j / v_i:
+    the step's neighbour term (A y)_i / y_i at y = v 1_M.  Scores above 1
+    mark asymptotically stable attractors; a score beyond the float range
+    is inf.  Returns +inf when M covers every vertex (edgeless graphs),
+    where the min runs over nothing.
     """
     gamma = _checked_gamma(gamma)
     mask = member_mask(g, m.members)
     if not independence(g, mask)[1]:
         raise ValueError("solution is not a maximal independent set")
-    # one pass over the kernel's entries (i, j) with i outside and j a member;
-    # a kernel row is i's list in A's order, so bincount adds it in that order
-    order, kernel = g.kernel()
-    i, j = np.repeat(order, np.diff(kernel.indptr)), order[kernel.indices]
-    keep = ~mask[i] & mask[j]
-    i, j = i[keep], j[keep]
-    sums = np.bincount(i, weights=np.sqrt(g.w[j] / g.w[i]), minlength=g.n)
-    outside = sums[~mask]
+    with np.errstate(over="ignore"):
+        outside = (neighbor_sums(g, np.where(mask, g.v, 0.0)) / g.v)[~mask]
     return gamma * float(outside.min()) if outside.size else math.inf

@@ -28,12 +28,10 @@ CORRESPONDENCE_LIMIT = 16
 
 
 def _neighbor_masks(g: WeightedGraph, order: Sequence[int]) -> list[int]:
-    """Neighbourhood bitmasks in a vertex order: mask p is order[p]'s, bit q stands for order[q]."""
-    korder, kernel = g.kernel()
-    pos = np.argsort(np.asarray(order))  # order's inverse
-    bits, ptr = pos[korder[kernel.indices]].tolist(), kernel.indptr.tolist()  # one gather over K's rows
-    rows = [sum(1 << q for q in bits[a:b]) for a, b in zip(ptr, ptr[1:])]  # row a is vertex korder[a]'s
-    return [rows[a] for a in np.argsort(pos[korder]).tolist()]
+    """Neighbourhood bitmasks in a vertex order, from g.neighbors: mask p is order[p]'s, bit q is order[q]."""
+    order = np.asarray(order)
+    pos = np.argsort(order)  # order's inverse
+    return [sum(1 << q for q in pos[g.neighbors(i)].tolist()) for i in order.tolist()]
 
 
 def _mask_members(mask: int) -> np.ndarray:

@@ -681,7 +681,7 @@ def mis_stability(g, m, gamma) -> float:
         if mask[i]:
             continue
         nb = g.neighbors(i)
-        s = float(np.sum(np.sqrt(g.w[nb[mask[nb]]] / g.w[i])))
+        s = float(np.sum(g.v[nb[mask[nb]]])) / float(g.v[i])  # Python floats: an overflow is inf, silently
         best = min(best, s)
     return gamma * best if best < math.inf else math.inf
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -45,6 +46,17 @@ def test_stability_full_vertex_set_is_infinite():
     g = build_graph(3, [], [1, 2, 3])
     m = MisSolution.from_members(g, [0, 1, 2])
     assert mis_stability(g, m, 1.5) == math.inf
+
+
+def test_stability_at_the_float_range_ends():
+    # v_j / v_i is 1e300 and 1e-300, where sqrt(w_j / w_i) overflows and underflows
+    g = build_graph(2, [(0, 1)], [1e300, 1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        heavy = mis_stability(g, MisSolution.from_members(g, [0]), 1.5)
+        light = mis_stability(g, MisSolution.from_members(g, [1]), 1.5)
+    assert heavy == pytest.approx(1.5e300, rel=1e-15)
+    assert light == pytest.approx(1.5e-300, rel=1e-15)
 
 
 def test_stability_rejects_non_maximal(p3_uniform):

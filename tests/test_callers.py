@@ -4,7 +4,8 @@ A function that only tests call is test code: it belongs in
 tests/reference.py, beside the tests that hold package code against it.
 A name counts as reached when code in src/graphnorm/ or scripts/ reads it
 (as a name or an attribute, outside its own definition) or when
-graphnorm.__all__ exports it.
+graphnorm.__all__ exports it.  Only graph.py reads the kernel's index
+arrays; every other module asks it for neighbour lists or sums.
 """
 
 import ast
@@ -50,3 +51,8 @@ def test_every_package_function_has_a_program_caller():
         f"{module}.{name}" for module, name in _definitions() if name.rpartition(".")[2] not in reached
     )
     assert unreached == [], "only tests call these; move them to tests/reference.py"
+
+
+def test_only_graph_reads_the_kernel_index_arrays():
+    readers = sorted(path.stem for path in PACKAGE if path.stem != "graph" and {"indptr", "indices"} & _reads(path))
+    assert readers == [], "read neighbours through graph.py's neighbors or neighbor_sums"

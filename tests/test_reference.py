@@ -791,10 +791,11 @@ def _stability_matches_reference(g, sol, gamma):
         assert got == pytest.approx(want, rel=k * np.finfo(float).eps, abs=0)
 
 
-@given(edge_lists(), st.floats(0.01, 3.0), st.data())
-def test_mis_stability_matches_reference(parts, gamma, data):
+@given(edge_lists(), st.floats(0.01, 3.0), st.sampled_from([(0.1, 10.0), (5e-324, 1e300)]), st.data())
+def test_mis_stability_matches_reference(parts, gamma, bounds, data):
     n, edges = parts
-    w = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    # weights in [0.1, 10], or out to the float range's ends as extreme_solves draws them
+    w = data.draw(st.lists(st.floats(*bounds), min_size=n, max_size=n))
     g = build_graph(n, edges, w)
     _stability_matches_reference(g, data.draw(st.sampled_from(enumerate_mises(g))), gamma)
 
