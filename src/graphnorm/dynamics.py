@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import MisSolution, WeightedGraph, greedy_complete, independence, member_mask, neighbor_sums
+from .graph import MisSolution, WeightedGraph, greedy_complete, member_mask, neighbor_sums
 
 # Value taken where a closed-neighbourhood sum is exactly 0, outside the
 # map's domain; from a normalizable start only underflow gets there.
@@ -418,8 +418,11 @@ def mis_stability(g: WeightedGraph, m: MisSolution, gamma: float) -> float:
     """
     gamma = _checked_gamma(gamma)
     mask = member_mask(g, m.members)
-    if not independence(g, mask)[1]:
-        raise ValueError("solution is not a maximal independent set")
     with np.errstate(over="ignore"):
-        outside = (neighbor_sums(g, np.where(mask, g.v, 0.0)) / g.v)[~mask]
+        sums = neighbor_sums(g, np.where(mask, g.v, 0.0))
+        outside = (sums / g.v)[~mask]
+    # v > 0, so a sum is positive exactly where a member is adjacent; an MIS
+    # is exactly the vertices with no member neighbour
+    if np.any((sums > 0) == mask):
+        raise ValueError("solution is not a maximal independent set")
     return gamma * float(outside.min()) if outside.size else math.inf

@@ -1,11 +1,14 @@
 """Connected-graph enumeration and the atomic census.
 
 A small graph is coded as an integer: its graph6 payload bits before
-padding, first pair most significant.  Graphs on up to 7 vertices come
-one per isomorphism class from vertex augmentation, which in this bit
-order appends the new vertex's column to its parent's code, deduplicated
-by brute-force canonical forms (canonical_form).  Larger orders come
-from external graph6 streams.
+padding, first pair most significant (graph6_adjacency decodes one).  A
+graph6 record is one line: the size in one byte (n <= 62) or in "~" and
+three bytes (n <= 258047), then the upper-triangle bits column-major, 6
+bits per payload byte offset by 63 (parse_graph6).  Graphs on up to 7
+vertices come one per isomorphism class from vertex augmentation, which
+in this bit order appends the new vertex's column to its parent's code,
+deduplicated by brute-force canonical forms (canonical_form).  Larger
+orders come from external graph6 streams.
 
 The census counts each connected graph by the exact classification of
 its full-support fixed points (atom_spectrum): the strictly positive
@@ -25,7 +28,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .io import graph6_adjacency, graph6_pairs, parse_graph6
+from .io import FormatError
 
 MAX_BUILTIN_N = 7
 
@@ -52,6 +55,49 @@ class CensusRow:
             + self.regular_discrete
             + self.regular_continuous
         )
+
+
+@lru_cache(maxsize=None)
+def graph6_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows i and columns j of the pairs i < j in graph6 order: by j, then by i."""
+    j, i = np.tril_indices(n, -1)
+    return i, j
+
+
+def graph6_adjacency(n: int, code: int) -> np.ndarray:
+    """The symmetric 0/1 int8 adjacency matrix whose graph6 payload bits before padding read as code."""
+    i, j = graph6_pairs(n)
+    bits = f"{code:0{len(i)}b}"[: len(i)]  # the slice drops the lone "0" when there is no pair
+    adj = np.zeros((n, n), dtype=np.int8)
+    adj[i, j] = adj[j, i] = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
+    return adj
+
+
+def parse_graph6(line: str) -> np.ndarray:
+    """Decode a single graph6 record into a symmetric 0/1 adjacency matrix."""
+    s = line.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise FormatError("empty graph6 record")
+    for ch in s:
+        if not 63 <= ord(ch) <= 126:
+            raise FormatError(f"character {ch!r} outside graph6 alphabet")
+    n, payload = ord(s[0]) - 63, s[1:]
+    if n == 63:  # "~": n is the next three bytes, 6 bits each, or after "~~" the next six
+        if s[1:2] == "~":
+            raise FormatError("8-byte graph6 sizes (n > 258047) not supported")
+        if len(s) < 4:
+            raise FormatError("graph6 record ends inside its 4-byte size")
+        n, payload = int("".join(f"{ord(ch) - 63:06b}" for ch in s[1:4]), 2), s[4:]
+    nbits = n * (n - 1) // 2
+    expected = (nbits + 5) // 6
+    if len(payload) != expected:
+        raise FormatError(
+            f"graph6 payload has {len(payload)} bytes, expected {expected} for n={n}"
+        )
+    bits = "".join(f"{ord(ch) - 63:06b}" for ch in payload)
+    return graph6_adjacency(n, int("0" + bits[:nbits], 2))
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,6 @@
-"""Readers for instances, warm-start vectors and graph6 records; the result and trace writers.
+"""Readers for instances and warm-start vectors; the result and trace writers.
 
-Three input formats are read here:
+Two input formats are read here (graph6 records are read by enumeration):
 
 * MWIS instances, DIMACS-flavored::
 
@@ -17,12 +17,6 @@ Three input formats are read here:
 
 * warm-start vectors: exactly n lines, one finite decimal per line.
 
-* graph6 records: standard sparse-graph encoding, one per line, the
-  size in one byte (n <= 62) or in "~" and three bytes (n <= 258047),
-  upper-triangle bits column-major, 6 bits per payload byte offset by
-  63; the enumeration's graph code is the payload bits before padding
-  as one integer (graph6_adjacency).
-
 Both files a solve writes are rendered here from plain records, which
 solver.solve_instance assembles: the result as JSON keyed by the fields of
 SolveResult and StartRecord in order (write_result states the one rule for
@@ -36,7 +30,6 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from io import StringIO  # the standard library's io: imports are absolute
 from typing import Optional
 
@@ -276,53 +269,6 @@ def parse_warm_start(text: str, n: int) -> np.ndarray:
         if not np.isfinite(values[i]):
             raise FormatError(f"warm start line {lineno}: non-finite value {ln!r}")
     return values
-
-
-# ---------------------------------------------------------------------------
-# graph6
-
-
-@lru_cache(maxsize=None)
-def graph6_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows i and columns j of the pairs i < j in graph6 order: by j, then by i."""
-    j, i = np.tril_indices(n, -1)
-    return i, j
-
-
-def graph6_adjacency(n: int, code: int) -> np.ndarray:
-    """The symmetric 0/1 int8 adjacency matrix whose graph6 payload bits before padding read as code."""
-    i, j = graph6_pairs(n)
-    bits = f"{code:0{len(i)}b}"[: len(i)]  # the slice drops the lone "0" when there is no pair
-    adj = np.zeros((n, n), dtype=np.int8)
-    adj[i, j] = adj[j, i] = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-    return adj
-
-
-def parse_graph6(line: str) -> np.ndarray:
-    """Decode a single graph6 record into a symmetric 0/1 adjacency matrix."""
-    s = line.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<") :]
-    if not s:
-        raise FormatError("empty graph6 record")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise FormatError(f"character {ch!r} outside graph6 alphabet")
-    n, payload = ord(s[0]) - 63, s[1:]
-    if n == 63:  # "~": n is the next three bytes, 6 bits each, or after "~~" the next six
-        if s[1:2] == "~":
-            raise FormatError("8-byte graph6 sizes (n > 258047) not supported")
-        if len(s) < 4:
-            raise FormatError("graph6 record ends inside its 4-byte size")
-        n, payload = int("".join(f"{ord(ch) - 63:06b}" for ch in s[1:4]), 2), s[4:]
-    nbits = n * (n - 1) // 2
-    expected = (nbits + 5) // 6
-    if len(payload) != expected:
-        raise FormatError(
-            f"graph6 payload has {len(payload)} bytes, expected {expected} for n={n}"
-        )
-    bits = "".join(f"{ord(ch) - 63:06b}" for ch in payload)
-    return graph6_adjacency(n, int("0" + bits[:nbits], 2))
 
 
 # ---------------------------------------------------------------------------

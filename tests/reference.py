@@ -40,9 +40,9 @@ from graphnorm.dynamics import (
     is_normalizable,
     weighted_mass,
 )
-from graphnorm.enumeration import SpectrumClassification, SpectrumKind
+from graphnorm.enumeration import SpectrumClassification, SpectrumKind, graph6_pairs
 from graphnorm.graph import GraphError, MisSolution, WeightedGraph
-from graphnorm.io import FormatError, SolveResult, StartRecord, graph6_pairs
+from graphnorm.io import FormatError, SolveResult, StartRecord
 from graphnorm.oracle import PROBE_MAGNITUDE
 
 

@@ -17,8 +17,7 @@ from graphnorm import (
     run_wrgn,
 )
 from graphnorm.dynamics import mis_stability
-from graphnorm.enumeration import SpectrumKind, _dominated, _positive_point, atom_spectrum
-from graphnorm.io import parse_graph6
+from graphnorm.enumeration import SpectrumKind, _dominated, _positive_point, atom_spectrum, parse_graph6
 from graphnorm.oracle import brute_force_mwis, enumerate_mises, mis_simplex_point
 from reference import fixed_point_residual, jacobian_spectral_radius, tilted_simplex_q
 

@@ -5,7 +5,8 @@ tests/reference.py, beside the tests that hold package code against it.
 A name counts as reached when code in src/graphnorm/ or scripts/ reads it
 (as a name or an attribute, outside its own definition) or when
 graphnorm.__all__ exports it.  Only graph.py reads the kernel's index
-arrays; every other module asks it for neighbour lists or sums.
+arrays; every other module asks it for neighbour lists or sums.  Only
+enumeration.py defines or reads the graph6 decoders.
 """
 
 import ast
@@ -56,3 +57,10 @@ def test_every_package_function_has_a_program_caller():
 def test_only_graph_reads_the_kernel_index_arrays():
     readers = sorted(path.stem for path in PACKAGE if path.stem != "graph" and {"indptr", "indices"} & _reads(path))
     assert readers == [], "read neighbours through graph.py's neighbors or neighbor_sums"
+
+
+def test_only_enumeration_holds_the_graph6_decoders():
+    decoders = {"graph6_pairs", "graph6_adjacency", "parse_graph6"}
+    holders = {module for module, name in _definitions() if name in decoders}
+    holders |= {path.stem for path in PACKAGE if decoders & _reads(path)}
+    assert sorted(holders) == ["enumeration"], "graph6 records and graph codes are decoded in enumeration.py"

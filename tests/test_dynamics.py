@@ -21,8 +21,8 @@ from graphnorm import (
     simplex_state,
     weighted_mass,
 )
-from graphnorm.dynamics import FALLBACK_VALUE, _products, _scaled, _step
-from graphnorm.graph import WeightedGraph
+from graphnorm.dynamics import FALLBACK_VALUE, _products, _scaled, _step, mis_stability
+from graphnorm.graph import MisSolution, WeightedGraph, neighbor_sums
 
 import reference
 from test_reference import _sparse_with_duplicates
@@ -714,3 +714,26 @@ def test_round_always_valid_maximal(gx):
     g, x = gx
     sol = round_to_mis(g, x)
     assert sol.independent and sol.maximal
+
+
+# ---------------------------------------------------------------------------
+# stability score
+
+
+def test_stability_score_takes_one_neighbour_sum(monkeypatch, star_k13, p3_uniform):
+    """The maximality check reads the score's own A(v 1_M), not a second product."""
+    leaves = MisSolution.from_members(star_k13, [1, 2, 3])
+    not_maximal = MisSolution.from_members(p3_uniform, [0])
+    calls = []
+
+    def counted(g, z):
+        calls.append(z)
+        return neighbor_sums(g, z)
+
+    monkeypatch.setattr("graphnorm.dynamics.neighbor_sums", counted)
+    monkeypatch.setattr("graphnorm.graph.neighbor_sums", counted)
+    assert mis_stability(star_k13, leaves, 1.2) == pytest.approx(3.6)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="maximal independent"):
+        mis_stability(p3_uniform, not_maximal, 1.5)
+    assert len(calls) == 2

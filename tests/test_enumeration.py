@@ -177,7 +177,7 @@ def test_format_table_contains_counts():
 
 
 def test_graph6_roundtrip_all_connected_up_to_7():
-    from graphnorm.io import parse_graph6
+    from graphnorm.enumeration import parse_graph6
 
     for n in range(1, 8):
         for adj in connected_graphs_upto(n):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from graphnorm import build_graph, erdos_renyi
+from graphnorm.enumeration import parse_graph6
 from graphnorm.io import (
     FormatError,
     SolveResult,
     StartRecord,
-    parse_graph6,
     parse_instance,
     parse_warm_start,
     read_reference_csv,

@@ -31,12 +31,12 @@ from graphnorm.enumeration import (
     atom_spectrum,
     canonical_form,
     connected_graphs_upto,
+    graph6_adjacency,
+    parse_graph6,
 )
 from graphnorm.graph import neighbor_sums
 from graphnorm.io import (
     FormatError,
-    graph6_adjacency,
-    parse_graph6,
     parse_instance,
 )
 from graphnorm.oracle import (
